@@ -142,17 +142,14 @@ def bench_hmult_rotate(ev, ct, ct_other,
 
 
 def bench_rotation_batch(ev, ct, reps: int) -> dict[str, tuple[float, int]]:
-    """NTT-domain vs coefficient-hoisted vs sequential rotation batches.
+    """NTT-domain hoisted vs sequential vs fused rotation batches.
 
     ``rotation_batch_ntt_domain`` keeps one NTT-domain raised
     decomposition of ``ct.a`` alive for the whole batch — every
     rotation is an evaluation-point gather + evk product + ModDown
     (``Evaluator.rotate_hoisted``, the production path).
-    ``rotation_batch_hoisted`` is the PR-3 coefficient-domain hoist
-    retained as the differential oracle: it shares the iNTT/BConv but
-    re-runs the stacked forward transform per rotation.
     ``rotation_batch_sequential`` pays a full raise per rotation (each
-    one NTT-domain internally).  All three produce bit-identical
+    one NTT-domain internally).  Both produce bit-identical
     ciphertexts, so the ratios are pure scheduling wins — the kernels
     that gate the CoeffToSlot/SlotToCoeff baby-step path.
     ``rotation_batch_fused`` runs the same amounts as one
@@ -173,11 +170,6 @@ def bench_rotation_batch(ev, ct, reps: int) -> dict[str, tuple[float, int]]:
     return {
         "rotation_batch_ntt_domain":
             (_median_seconds(lambda: ev.rotate_hoisted(ct, amounts), reps),
-             reps),
-        "rotation_batch_hoisted":
-            (_median_seconds(
-                lambda: ev.rotate_hoisted(ct, amounts, domain="coeff"),
-                reps),
              reps),
         "rotation_batch_sequential":
             (_median_seconds(sequential, reps), reps),

@@ -245,24 +245,6 @@ class Evaluator:
         # decrypts under s:  b_out - a_out*s = b' - (ks_b - ks_a*s) = m(X^g).
         return Ciphertext(b_rot.sub(ks_b), ks_a.neg(), ct.scale, ct.n_slots)
 
-    def _galois_from_hoisted(self, ct: Ciphertext, b_coeff, hoisted,
-                             galois_elt: int,
-                             evk: EvaluationKey) -> Ciphertext:
-        """Coefficient-domain hoisted galois (the PR-3 differential oracle).
-
-        Permutes the hoisted coefficient-domain slices and pays one
-        stacked forward NTT per galois element.  Bit-identical to
-        :meth:`_galois_from_raised`; kept callable (``domain="coeff"``)
-        so the permutation-oracle test tier and the
-        ``rotation_batch_hoisted`` benchmark can still exercise it.
-        """
-        from repro.ckks.keyswitch import key_switch_raised, raise_hoisted
-
-        raised = raise_hoisted(hoisted, galois_elt, ct.level, self.ring)
-        ks_b, ks_a = key_switch_raised(raised, evk, ct.level, self.ring)
-        b_rot = b_coeff.galois(galois_elt).to_ntt()
-        return Ciphertext(b_rot.sub(ks_b), ks_a.neg(), ct.scale, ct.n_slots)
-
     def rotate(self, ct: Ciphertext, amount: int) -> Ciphertext:
         """HRot: cyclically shift message slots by ``amount``."""
         amount = amount % ct.n_slots
@@ -275,32 +257,25 @@ class Evaluator:
                                   self.rotation_keys[amount])
 
     def galois_hoisted(self, ct: Ciphertext, amounts: list[int],
-                       conjugate: bool = False, domain: str = "ntt"
+                       conjugate: bool = False
                        ) -> tuple[dict[int, Ciphertext],
                                   Ciphertext | None]:
         """Many galois ops on one ciphertext, sharing one decomposition.
 
         The hoisting optimization of [12] (also used by Lattigo),
-        upgraded to the BTS evaluation-domain form: with
-        ``domain="ntt"`` (default) the *entire* raise — iNTT, every
-        ModUp BConv, and the stacked forward transform — runs once, and
-        each galois element only gathers the raised NTT-domain slices,
-        multiplies with its own evk and mods down.  ``domain="coeff"``
-        selects the PR-3 oracle route, which re-runs the forward
-        transform per element.  Both are bit-identical to sequential
-        :meth:`rotate` / :meth:`conjugate` calls.
+        upgraded to the BTS evaluation-domain form: the *entire* raise —
+        iNTT, every ModUp BConv, and the stacked forward transform —
+        runs once, and each galois element only gathers the raised
+        NTT-domain slices, multiplies with its own evk and mods down.
+        Bit-identical to sequential :meth:`rotate` / :meth:`conjugate`
+        calls.
 
         Returns ``(rotations, conjugated)`` where ``rotations`` maps
         each requested amount to its rotated ciphertext and
         ``conjugated`` is the HConj result (``None`` unless
         ``conjugate=True``).
         """
-        if domain not in ("ntt", "coeff"):
-            raise ValueError(f"unknown galois domain {domain!r}")
-        from repro.ckks.keyswitch import (
-            hoist_decomposition,
-            raise_decomposition,
-        )
+        from repro.ckks.keyswitch import raise_decomposition
 
         unique = sorted({a % ct.n_slots for a in amounts})
         out: dict[int, Ciphertext] = {}
@@ -321,37 +296,24 @@ class Evaluator:
                 for amount in pending]
         if conjugate:
             jobs.append((2 * self.ring.n - 1, self.conjugation_key, None))
-        if domain == "ntt":
-            raised = raise_decomposition(ct.a, ct.level, self.ring)
-
-            def finish(galois_elt: int, evk: EvaluationKey) -> Ciphertext:
-                return self._galois_from_raised(ct, raised, galois_elt,
-                                                evk)
-        else:
-            hoisted = hoist_decomposition(ct.a, ct.level, self.ring)
-            b_coeff = ct.b.from_ntt()
-
-            def finish(galois_elt: int, evk: EvaluationKey) -> Ciphertext:
-                return self._galois_from_hoisted(ct, b_coeff, hoisted,
-                                                 galois_elt, evk)
+        raised = raise_decomposition(ct.a, ct.level, self.ring)
         conjugated: Ciphertext | None = None
         for galois_elt, evk, amount in jobs:
-            result = finish(galois_elt, evk)
+            result = self._galois_from_raised(ct, raised, galois_elt, evk)
             if amount is None:
                 conjugated = result
             else:
                 out[amount] = result
         return out, conjugated
 
-    def rotate_hoisted(self, ct: Ciphertext, amounts: list[int],
-                       domain: str = "ntt") -> dict[int, Ciphertext]:
+    def rotate_hoisted(self, ct: Ciphertext, amounts: list[int]
+                       ) -> dict[int, Ciphertext]:
         """Many rotations of one ciphertext, sharing a single raise.
 
-        Thin wrapper over :meth:`galois_hoisted` (rotations only); see
-        there for the domain semantics.  Bit-identical to calling
-        :meth:`rotate` per amount.
+        Thin wrapper over :meth:`galois_hoisted` (rotations only).
+        Bit-identical to calling :meth:`rotate` per amount.
         """
-        rotations, _ = self.galois_hoisted(ct, amounts, domain=domain)
+        rotations, _ = self.galois_hoisted(ct, amounts)
         return rotations
 
     def conjugate(self, ct: Ciphertext) -> Ciphertext:

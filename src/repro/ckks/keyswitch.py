@@ -15,23 +15,16 @@ limb axis and runs one :class:`~repro.ckks.rns.StackedTransform` pass;
 accumulator (one stacked iNTT, one coefficient-stacked BConv, one
 stacked NTT).  Both are bit-identical to the per-polynomial path.
 
-Hoisting: for galois ops (HRot/HConj) the decompose-and-convert half is
-rotation-independent.  Two hoisted routes coexist:
-
-* **NTT-domain hoisting (the production path, BTS Section 4.1):** the
-  full :func:`raise_decomposition` — iNTT, every BConv, *and* the one
-  stacked forward transform — is rotation-independent, because the
-  automorphism acts on the raised NTT-domain slices as a pure
-  evaluation-point gather (:func:`galois_raised` /
-  :meth:`~repro.ckks.rns.RnsPolynomial.galois`).  A rotation then costs
-  one index gather + the evk inner product + ModDown; no transform at
-  all.
-* **Coefficient-domain hoisting (the PR-3 path, retained as the
-  differential oracle):** :func:`hoist_decomposition` stops before the
-  forward transform, :func:`raise_hoisted` permutes in the coefficient
-  domain and pays one stacked forward NTT per galois element.  Both
-  routes are bit-identical (gather after the transform == transform
-  after the permute), which the permutation-oracle test tier enforces.
+Hoisting (BTS Section 4.1): for galois ops (HRot/HConj) the full
+:func:`raise_decomposition` — iNTT, every BConv, *and* the one stacked
+forward transform — is rotation-independent, because the automorphism
+acts on the raised NTT-domain slices as a pure evaluation-point gather
+(:func:`galois_raised` / :meth:`~repro.ckks.rns.RnsPolynomial.galois`).
+A rotation then costs one index gather + the evk inner product +
+ModDown; no transform at all.  The gather is pinned bit for bit to the
+coefficient-domain permutation oracle
+(:meth:`~repro.ckks.rns.RnsPolynomial.galois_coeff`) by the
+permutation-oracle test tier.
 
 Double-hoisting: :func:`key_switch_accumulate` exposes the evk inner
 product *without* the trailing ModDown, so a BSGS giant-step group can
@@ -200,62 +193,6 @@ def mod_down_many(polys: list[RnsPolynomial], level: int,
     return outs
 
 
-def hoist_decomposition(poly: RnsPolynomial, level: int, ring: RingContext
-                        ) -> tuple[tuple[RnsPolynomial, RnsPolynomial], ...]:
-    """The rotation-independent half of a *coefficient-domain* hoist.
-
-    Runs one shared iNTT of ``poly`` and the per-slice BConv of ModUp,
-    but stops *before* the forward transform: the returned
-    ``(own_coeff, converted_coeff)`` pairs stay in the coefficient
-    domain, where the automorphism is a cheap permutation.  Hoisting
-    [12] computes this once per ciphertext and shares it across every
-    rotation of a BSGS group; :func:`raise_hoisted` finishes the job for
-    one galois element.  (Applying the automorphism *after* ModUp flips
-    the slice representative from ``[g(a)]_{Q_j}`` to ``-[a]_{Q_j}``
-    permuted; the two differ by a multiple of ``Q_j``, which the evk
-    gadget absorbs up to noise — same guarantee as classic hoisting.)
-
-    This is the PR-3 hoisting route, retained as the differential oracle
-    for the NTT-domain path (:func:`raise_decomposition` +
-    :func:`galois_raised`), which additionally hoists the forward
-    transform itself and is what production galois ops run.
-    """
-    if not poly.is_ntt:
-        raise ValueError("hoist_decomposition expects an NTT polynomial")
-    coeff = poly.from_ntt()  # one batched iNTT shared by every rotation
-    parts = []
-    for slice_base, complement, _, _ in ring.mod_up_plan(level):
-        own = coeff.restrict(slice_base)
-        parts.append((own, base_convert(own, complement)))
-    return tuple(parts)
-
-
-def raise_hoisted(parts: tuple[tuple[RnsPolynomial, RnsPolynomial], ...],
-                  galois_elt: int, level: int, ring: RingContext
-                  ) -> list[RnsPolynomial]:
-    """Permute hoisted slices by ``X -> X^galois_elt`` and NTT them.
-
-    The rotation-dependent half of a hoisted key-switch: applies the
-    automorphism to every own/converted coefficient block of
-    :func:`hoist_decomposition` and runs one stacked forward transform
-    over all of them (the same ``beta * (level+1+k)`` limb rows the
-    non-hoisted path transforms, in a single dispatch).  The result
-    feeds :func:`key_switch_raised` unchanged.
-    """
-    plan = ring.mod_up_plan(level)
-    rotated: list[RnsPolynomial] = []
-    for own, converted in parts:
-        rotated.append(own.galois(galois_elt))
-        rotated.append(converted.galois(galois_elt))
-    ntts = StackedTransform.forward(rotated)
-    target_base = ring.base_qp(level)
-    return [
-        _assemble_raised(target_base, ntts[2 * i], ntts[2 * i + 1],
-                         own_rows, conv_rows)
-        for i, (_, _, own_rows, conv_rows) in enumerate(plan)
-    ]
-
-
 def raise_decomposition(poly: RnsPolynomial, level: int,
                         ring: RingContext) -> list[RnsPolynomial]:
     """ModUp every decomposition slice of ``poly`` (NTT, base C_level).
@@ -271,9 +208,7 @@ def raise_decomposition(poly: RnsPolynomial, level: int,
     The result doubles as the *NTT-domain hoisted state*: because the
     automorphism is an evaluation-point gather on NTT-domain slices
     (:func:`galois_raised`), every rotation of a batch reuses these
-    raised slices directly — including the forward transform, which the
-    coefficient-domain hoist (:func:`hoist_decomposition`) must re-run
-    per rotation.
+    raised slices directly — forward transform included.
     """
     if not poly.is_ntt:
         raise ValueError("raise_decomposition expects an NTT polynomial")
@@ -322,9 +257,8 @@ def galois_raised(raised: list[RnsPolynomial],
     the cached evaluation-point gather — no transform, no sign
     corrections.  Feeding the output to :func:`key_switch_raised` is
     bit-identical to raising the coefficient-permuted polynomial from
-    scratch (and to the :func:`raise_hoisted` oracle), because the
-    automorphism commutes with the coefficient-wise ModUp and the
-    gather commutes with the forward NTT.
+    scratch, because the automorphism commutes with the coefficient-wise
+    ModUp and the gather commutes with the forward NTT.
     """
     return [piece.galois(galois_elt) for piece in raised]
 

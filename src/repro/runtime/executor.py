@@ -49,33 +49,6 @@ class ExecutionCancelled(ExecutionError):
     """Execution aborted at a node boundary by a cancellation request."""
 
 
-def _seeded_result(plan: Plan, node, seeded_galois) -> Ciphertext | None:
-    """Look up a cross-job precomputed galois result for ``node``.
-
-    Only galois ops applied *directly to an INPUT node* are seedable:
-    that is the (tenant, source-ciphertext) granularity the scheduler
-    coalesces on, and the only place where two jobs can provably share
-    an operand.
-    """
-    if not seeded_galois:
-        return None
-    src = plan.nodes[node.args[0]]
-    if src.op is not OpCode.INPUT:
-        return None
-    entry = seeded_galois.get(src.name)
-    if entry is None:
-        return None
-    rotations, conjugated = entry
-    if node.op is OpCode.CONJ:
-        return conjugated
-    # The IR canonicalizes HRot amounts to [0, n_slots) at construction
-    # and the coalescer keys its union the same way; reduce here too so
-    # a plan built through a non-canonical path (hand-rolled Node
-    # lists in tests, future IR producers) still hits the seed instead
-    # of silently re-rotating.
-    return rotations.get(node.rotation % plan.program.n_slots)
-
-
 def _effective_args(plan: Plan, nid: int) -> tuple[int, ...]:
     """Dataflow deps as executed: a fused root depends only on its source."""
     idx = plan.fusion_of.get(nid)
@@ -90,8 +63,6 @@ def execute(plan: Plan, evaluator: Evaluator,
             inputs: dict[str, Ciphertext],
             bootstrapper=None,
             validate: bool = True,
-            seeded_galois: dict[str, tuple[dict[int, Ciphertext],
-                                           Ciphertext | None]] | None = None,
             seeded_nodes: dict[int, Ciphertext] | None = None,
             should_cancel=None, span=None,
             noise: NoiseTracker | None = None) -> dict[str, Ciphertext]:
@@ -102,26 +73,15 @@ def execute(plan: Plan, evaluator: Evaluator,
     required iff the plan contains BOOTSTRAP nodes (its evaluator must
     be ``evaluator``).
 
-    ``seeded_galois`` maps an *input name* to pre-computed galois
-    results ``(rotations, conjugated)`` for that input ciphertext —
-    exactly the return shape of
-    :meth:`~repro.ckks.evaluator.Evaluator.galois_hoisted`.  The serving
-    scheduler uses this to coalesce rotation batches *across jobs*: when
-    several queued jobs rotate the same source ciphertext, one hoisted
-    raise serves the union of their amounts and each executor consumes
-    the shared results instead of raising again.  Galois ops whose
-    amount is not seeded fall back to the normal (per-plan batched)
-    path, and seeded results flow through the same per-node level/scale
-    validation as everything else — since hoisted galois is bit-identical
-    to sequential, seeding never changes a single output bit.
-
     ``seeded_nodes`` maps *node ids* to already-computed ciphertexts —
-    the scheduler's cross-job CSE hook: when several queued jobs share
-    a plan-cache entry *and* the input ciphertexts a subgraph depends
-    on, that subgraph runs once (:func:`execute_subgraph`) and its
-    frontier values seed every member's execution.  A seeded node is
-    not executed, and any upstream node only it needed is skipped too;
-    seeded values still pass the per-node level/scale validation.
+    the scheduler's cross-job sharing hook: the values several queued
+    jobs compute (and the rotations several of them make of one
+    ciphertext) run once in a merged window plan
+    (:mod:`repro.runtime.window`, :func:`execute_subgraph`), and each
+    job is seeded at its frontier.  A seeded node is not executed, and
+    any upstream node only it needed is skipped too — a rotation batch
+    whose members were all seeded never raises at all.  Seeded values
+    still pass the per-node level/scale validation.
 
     ``should_cancel`` is an optional zero-argument callable polled
     before every node; when it returns true, execution aborts with
@@ -148,8 +108,8 @@ def execute(plan: Plan, evaluator: Evaluator,
     values = _run(plan, evaluator, inputs,
                   targets=set(plan.outputs.values()),
                   bootstrapper=bootstrapper, validate=validate,
-                  seeded_galois=seeded_galois, seeded_nodes=seeded_nodes,
-                  should_cancel=should_cancel, span=span, noise=noise)
+                  seeded_nodes=seeded_nodes, should_cancel=should_cancel,
+                  span=span, noise=noise)
     return {name: values[nid] for name, nid in plan.outputs.items()}
 
 
@@ -160,24 +120,23 @@ def execute_subgraph(plan: Plan, evaluator: Evaluator,
                      ) -> dict[int, Ciphertext]:
     """Execute just enough of ``plan`` to produce ``node_ids``.
 
-    The cross-job CSE primitive: the scheduler runs a shared subgraph
-    once against one representative job's inputs and feeds the results
-    to every member via ``execute``'s ``seeded_nodes``.  Only the
-    inputs the requested nodes transitively depend on need to be bound;
-    execution is the same code path as :func:`execute` (same batching,
-    fusion, validation), so subgraph results are byte-identical to the
-    values a full run would compute.
+    The cross-job sharing primitive: the scheduler runs a batch
+    window's merged plan (:func:`repro.runtime.window.merge_window`)
+    once and feeds the results to every member via ``execute``'s
+    ``seeded_nodes``.  Only the inputs the requested nodes transitively
+    depend on need to be bound; execution is the same code path as
+    :func:`execute` (same batching, fusion, validation), so subgraph
+    results are byte-identical to the values a full run would compute.
     """
     return _run(plan, evaluator, inputs, targets=set(node_ids),
                 bootstrapper=bootstrapper, validate=validate,
-                seeded_galois=None, seeded_nodes=None,
-                should_cancel=should_cancel, span=span, noise=None)
+                seeded_nodes=None, should_cancel=should_cancel,
+                span=span, noise=None)
 
 
 def _run(plan: Plan, evaluator: Evaluator, inputs: dict[str, Ciphertext],
-         targets: set[int], bootstrapper, validate, seeded_galois,
-         seeded_nodes, should_cancel, span, noise
-         ) -> dict[int, Ciphertext]:
+         targets: set[int], bootstrapper, validate, seeded_nodes,
+         should_cancel, span, noise) -> dict[int, Ciphertext]:
     program = plan.program
     seeded_nodes = seeded_nodes or {}
     fusion_root = {f.root: f for f in plan.fusions}
@@ -240,8 +199,8 @@ def _run(plan: Plan, evaluator: Evaluator, inputs: dict[str, Ciphertext],
         values[nid] = ct
 
     # Hoisted batches over the members that actually execute this run
-    # (seeded/CSE'd members consume no batch slot, and a batch whose
-    # members were all seeded never raises at all).
+    # (seeded members consume no batch slot, and a batch whose members
+    # were all seeded never raises at all).
     batch_rotations: dict[int, list[int]] = {}
     batch_conjugate: dict[int, bool] = {}
     batch_pending: dict[int, int] = {}
@@ -335,16 +294,8 @@ def _run(plan: Plan, evaluator: Evaluator, inputs: dict[str, Ciphertext],
         elif op is OpCode.NEG:
             result = evaluator.negate(consume(node.args[0]))
         elif op in (OpCode.HROT, OpCode.CONJ):
-            seeded = _seeded_result(plan, node, seeded_galois)
             batch_index = plan.batch_of.get(nid)
-            if seeded is not None:
-                consume(node.args[0])
-                result = seeded
-                if batch_index is not None:
-                    batch_pending[batch_index] -= 1
-                    if batch_pending[batch_index] == 0:
-                        batch_results.pop(batch_index, None)
-            elif batch_index is None:
+            if batch_index is None:
                 if op is OpCode.HROT:
                     result = evaluator.rotate(consume(node.args[0]),
                                               node.rotation)

@@ -3,7 +3,7 @@
 The serving pipeline for one job is
 
     blob inputs -> deserialize (dedup by digest) -> plan (cached)
-    -> admission (BTS cycle estimate) -> coalesce galois across jobs
+    -> admission (BTS cycle estimate) -> share work across jobs
     -> supervised execution on the worker pool -> serialize outputs
 
 Three scheduling ideas carry the throughput:
@@ -21,14 +21,15 @@ Three scheduling ideas carry the throughput:
   estimate is cached with the plan, so admission is one dict lookup in
   steady state.
 
-* **Cross-job rotation coalescing** — jobs arriving in one batch window
-  that rotate the *same* source ciphertext (same tenant, same input
-  blob digest) share a single hoisted raise: the scheduler unions their
-  rotation amounts, runs one
-  :meth:`~repro.ckks.evaluator.Evaluator.galois_hoisted` call, and seeds
-  every executor with the shared results (the Section 3.3 structure —
-  ModUp is rotation-independent — applied across request boundaries).
-  Hoisted galois is bit-identical to sequential, so batching on/off
+* **Cross-job sharing** — per tenant, the plans of the jobs in one
+  batch window that bind a common input blob are merged into one
+  hash-consed *window plan* (:mod:`repro.runtime.window`): every value
+  two jobs compute, and every rotation of such a value two jobs rotate,
+  runs once — all rotations of one source under a single hoisted raise
+  (the Section 3.3 structure — ModUp is rotation-independent — applied
+  across request boundaries) — and each job is seeded at its frontier.
+  Every shared value is computed by the same executor code path, and
+  hoisted galois is bit-identical to sequential, so sharing on/off
   produces byte-identical output blobs.
 
 And three robustness ideas keep one shared accelerator serviceable
@@ -37,7 +38,7 @@ under faults (the failure model is documented in ``service/README.md``):
 * **Per-job failure isolation** — every stage of the pipeline fails at
   job granularity: a job whose blob is corrupt, whose keys were
   evicted, or whose worker crashes/stalls fails *its own* future, while
-  its batch-mates (including members of the same coalescing group)
+  its batch-mates (including members of the same window plan)
   complete with byte-identical outputs to a fault-free run.
 
 * **Supervised execution** (:mod:`repro.service.supervisor`) — each
@@ -66,6 +67,7 @@ import functools
 import hashlib
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -78,10 +80,12 @@ from repro.obs.events import JobJournal
 from repro.obs.metrics import BIT_BUCKETS, MetricsRegistry
 from repro.obs.noise import NoiseTracker, PlanNoiseProfile
 from repro.obs.trace import Span, Tracer
-from repro.runtime.executor import ExecutionCancelled, execute
+from repro.runtime.executor import ExecutionCancelled, execute, \
+    execute_subgraph
 from repro.runtime.ir import OpCode, Program
 from repro.runtime.planner import Plan, PlanCache, PlannerConfig, \
     plan_cache_key
+from repro.runtime.window import PlanKeys, merge_window, plan_keys
 from repro.service import wire
 from repro.service.errors import (
     AdmissionError,
@@ -113,18 +117,17 @@ class ServiceConfig:
     max_batch: int = 8               #: jobs pulled per batch window
     batch_window_s: float = 0.005    #: how long an underfull batch waits
     #: for more jobs before dispatching (bounds added latency; without
-    #: it, batch composition races the submitters and coalescing
-    #: becomes timing-dependent)
-    coalesce: bool = True            #: cross-job rotation batching
-    cse: bool = True                 #: cross-job common-subgraph reuse:
-    #: jobs in one batch window sharing a plan-cache entry *and* the
-    #: input blobs a subgraph depends on run that subgraph once and
-    #: seed every member (byte-identical — same execution code path)
+    #: it, batch composition races the submitters and sharing becomes
+    #: timing-dependent)
+    coalesce: bool = True            #: cross-job sharing: one window
+    #: plan per tenant runs every value and rotation that jobs binding
+    #: a common input blob share, then seeds each job (byte-identical
+    #: to running every job on its own)
     optimize: bool = False           #: plan with rotate-reduce fusion
     #: (:mod:`repro.runtime.optimizer`).  Opt-in: the default "single"
     #: ModDown strategy changes output bits at the noise level (the
-    #: double-hoisting trade), and fused galois members no longer take
-    #: part in cross-job rotation coalescing.
+    #: double-hoisting trade), and a fused tree shares across jobs only
+    #: as a whole — its galois members no longer join a window raise.
     fusion_moddown: str = "single"   #: forwarded to the planner when
     #: ``optimize`` is set ("single" or "stacked")
     plan_cache_size: int = 64
@@ -184,10 +187,12 @@ class JobResult:
     program_name: str
     estimated_seconds: float | None  #: BTS cycle estimate (None: admission off)
     plan_cache_hit: bool
-    coalesced: bool                  #: galois results arrived pre-computed
+    coalesced: bool                  #: rotations rode a raise shared with
+    #: other jobs of the batch window
     wall_seconds: float
     attempts: int = 1                #: supervised attempts taken
-    cse_seeded: bool = False         #: subgraph results arrived pre-computed
+    cse_seeded: bool = False         #: reused a value another job of the
+    #: batch window also computes
     headroom_bits: float | None = None  #: terminal analytic noise
     #: headroom (worst output): log2(q_chain/scale) - noise_bits
     precision_at_risk: PrecisionAtRisk | None = None  #: non-fatal
@@ -268,15 +273,12 @@ class _Job:
     cache_hit: bool = False
     estimate: float | None = None
     inputs: dict[str, Ciphertext] = field(default_factory=dict)
-    #: input name -> blob digest (for coalescing group keys)
+    #: input name -> blob digest (window-plan INPUT keys)
     digests: dict[str, str] = field(default_factory=dict)
-    seeded: dict | None = None
-    #: node id -> precomputed ciphertext (cross-job CSE frontier)
+    #: node id -> precomputed ciphertext (window-plan frontier)
     seeded_nodes: dict | None = None
-    #: plan nodes the CSE seeding makes this job skip (frontier +
-    #: everything upstream of it); coalescing must not count their
-    #: galois work
-    cse_covered: frozenset | None = None
+    coalesced: bool = False
+    cse_seeded: bool = False
     cache_key: str | None = None     #: plan-cache key (calibration key)
     submitted_at: float = 0.0        #: perf_counter at submit
     attempt_no: int = 0              #: supervised attempts started
@@ -314,8 +316,8 @@ class RequestScheduler:
         self.jobs_failed = 0         #: supervised execution failures
         self.jobs_overloaded = 0     #: submits shed by backpressure
         self.jobs_shed = 0           #: submits shed by open breakers
-        self.coalesced_raises = 0
-        self.cse_reuses = 0          #: jobs served from a shared subgraph
+        self.coalesced_raises = 0    #: raises saved by window plans
+        self.cse_reuses = 0          #: jobs reusing another job's value
         self.precision_at_risk_jobs = 0  #: completed below the floor
         self._backlog_jobs = 0       #: queued + in-flight jobs
         self._backlog_seconds = 0.0  #: their priced accelerator seconds
@@ -330,6 +332,7 @@ class RequestScheduler:
         self.noise_tracker = NoiseTracker.from_ring(
             self.ring, message_bound=self.config.noise_message_bound)
         self._noise_profiles: dict[str, PlanNoiseProfile] = {}
+        self._plan_keys: dict[str, PlanKeys] = {}  #: window-plan keys
         self._tenant_min_headroom: dict[str, float] = {}
         slow = self.config.calibration_slow_factor
         if slow is None:
@@ -346,12 +349,12 @@ class RequestScheduler:
             ("tenant", "outcome"))
         self._m_plan_cache = metrics.counter(
             "fhe_plan_cache_total", "plan-cache lookups", ("result",))
-        self._m_coalesced = metrics.counter(
+        self._m_raises_saved = metrics.counter(
             "fhe_coalesced_raises_total",
-            "hoisted raises saved by cross-job coalescing")
+            "hoisted raises saved by cross-job window plans")
         self._m_cse = metrics.counter(
             "fhe_cse_reuses_total",
-            "subgraph executions saved by cross-job CSE")
+            "jobs reusing a value another job of their window computed")
         self._m_queue_wait = metrics.histogram(
             "fhe_job_queue_wait_seconds", "submit-to-batch-pull latency")
         self._m_wall = metrics.histogram(
@@ -540,8 +543,8 @@ class RequestScheduler:
     def _journal(self, event: str, job: _Job, **fields) -> None:
         """Emit one job-lifecycle line to the opt-in journal.
 
-        Like coalescing and tracing, the journal is observability, not
-        a liveness dependency: a failing sink must never fail the job.
+        Like cross-job sharing and tracing, the journal is not a
+        liveness dependency: a failing sink must never fail the job.
         """
         journal = self.events
         if journal is None:
@@ -592,7 +595,7 @@ class RequestScheduler:
         await asyncio.gather(*(self._supervise_job(job)
                                for job in admitted))
 
-    # ----- batch preparation (plan, admit, coalesce) -------------------------
+    # ----- batch preparation (plan, admit, share) ----------------------------
 
     def _planner_config(self) -> PlannerConfig:
         config = PlannerConfig.from_ring(
@@ -674,7 +677,7 @@ class RequestScheduler:
             _fail_future, job.future, exc)
 
     def _prepare_batch(self, batch: list[_Job]) -> list[_Job]:
-        """Plan + admit every job, decode inputs, coalesce galois work.
+        """Plan + admit every job, decode inputs, share work across jobs.
 
         Strictly per-job: a job that fails planning, admission, or blob
         decoding is rejected alone — jobs already prepared (and jobs
@@ -705,10 +708,8 @@ class RequestScheduler:
                 admitted.append(job)
             except Exception as exc:  # reject: surface to the submitter
                 self._reject(job, exc)
-        if self.config.cse:
-            self._cse_seed(admitted, batch_span)
         if self.config.coalesce:
-            self._coalesce(admitted, batch_span)
+            self._share(admitted, batch_span)
         if batch_span is not None:
             batch_span.annotate(admitted=len(admitted))
             batch_span.end()
@@ -729,135 +730,59 @@ class RequestScheduler:
             job.inputs[name] = ct
             job.digests[name] = digest
 
-    def _cse_seed(self, jobs: list[_Job],
-                  batch_span: Span | None = None) -> None:
-        """Run subgraphs shared by same-plan jobs once per batch window.
+    def _share(self, jobs: list[_Job],
+               batch_span: Span | None = None) -> None:
+        """Run one merged window plan per tenant; seed every member.
 
-        Jobs sharing a plan-cache entry (same ``cache_key``) *and* the
-        input blobs (by digest) some subgraph transitively depends on
-        reuse that subgraph: the scheduler executes it once
-        (:func:`~repro.runtime.executor.execute_subgraph`) against one
-        representative's inputs and seeds every member's executor via
-        ``seeded_nodes``.  The subgraph runs through the exact same
-        execution code path the members would use, so seeded and
-        independent runs are byte-identical.  Like coalescing, this is
-        an optimisation, never a liveness dependency: any failure skips
-        seeding for that group only.
+        Jobs of one tenant (and slot count) that bind a blob another of
+        them binds are merged by :func:`~repro.runtime.window.merge_window`;
+        the window plan runs once
+        (:func:`~repro.runtime.executor.execute_subgraph`) and each job
+        is seeded at its frontier.  Tenants sharing no blob pay nothing.
+        Sharing is an optimisation, never a liveness dependency: any
+        failure (evicted key mid-batch, level drift, anything
+        unexpected) leaves that tenant's jobs to run on their own —
+        byte-identical either way.
         """
-        from repro.runtime.executor import execute_subgraph
-
-        groups: dict[tuple[str, str], list[_Job]] = {}
+        groups: dict[tuple[str, int], list[_Job]] = {}
         for job in jobs:
-            if job.cache_key is not None and job.plan is not None:
-                groups.setdefault((job.request.tenant, job.cache_key),
-                                  []).append(job)
-        for (tenant, _key), members in groups.items():
-            if len(members) < 2:
+            groups.setdefault((job.request.tenant,
+                               job.plan.program.n_slots), []).append(job)
+        for (tenant, _), members in groups.items():
+            bound = Counter(digest for job in members
+                            for digest in set(job.digests.values()))
+            members = [job for job in members
+                       if any(bound[d] >= 2 for d in job.digests.values())]
+            if not members:
                 continue
-            # Subgroup by the inputs each job shares with >= 2 jobs of
-            # the group; only jobs agreeing on that whole signature
-            # provably share the same subgraph values.
-            freq: dict[tuple[str, str], int] = {}
-            for job in members:
-                for pair in job.digests.items():
-                    freq[pair] = freq.get(pair, 0) + 1
-            subgroups: dict[frozenset, list[_Job]] = {}
-            for job in members:
-                signature = frozenset(pair for pair in job.digests.items()
-                                      if freq[pair] >= 2)
-                if signature:
-                    subgroups.setdefault(signature, []).append(job)
-            for signature, shared_jobs in subgroups.items():
-                if len(shared_jobs) < 2:
-                    continue
-                group_span = None
-                try:
-                    plan = shared_jobs[0].plan
-                    shared_names = {name for name, _ in signature}
-                    frontier, covered = _shared_subgraph(plan,
-                                                         shared_names)
-                    if not frontier or not covered:
-                        continue  # nothing worth sharing
-                    if batch_span is not None:
-                        group_span = batch_span.child(
-                            "cse_group", cat="sched", tenant=tenant,
-                            members=len(shared_jobs),
-                            frontier=len(frontier))
-                    tally_before = (_obs_kernel.snapshot()
-                                    if _obs_kernel._ENABLED else None)
-                    session = self.registry.session(tenant)
-                    seed_inputs = {name: shared_jobs[0].inputs[name]
-                                   for name in shared_names}
-                    results = execute_subgraph(plan, session.evaluator,
-                                               seed_inputs, frontier)
-                    saved = len(shared_jobs) - 1
-                    self._bump("cse_reuses", saved)
-                    self._m_cse.inc(saved)
-                    for job in shared_jobs:
-                        job.seeded_nodes = results
-                        job.cse_covered = covered
-                    if group_span is not None:
-                        if tally_before is not None:
-                            group_span.annotate(
-                                **{field: count for field, count
-                                   in _obs_kernel.delta(
-                                       tally_before).items() if count})
-                        group_span.end()
-                except Exception as exc:
-                    if group_span is not None:
-                        group_span.annotate(error=type(exc).__name__)
-                        group_span.end()
-                    continue  # group falls back to independent runs
-
-    def _coalesce(self, jobs: list[_Job],
-                  batch_span: Span | None = None) -> None:
-        """One hoisted raise per (tenant, source ct) shared by >= 2 jobs.
-
-        Coalescing is an optimisation, never a liveness dependency: any
-        failure here (evicted key mid-batch, level drift, anything
-        unexpected) skips seeding for that group only, and its jobs
-        fall back to hoisting on their own — bit-identical either way.
-        """
-        groups: dict[tuple[str, str], list[tuple[_Job, str]]] = {}
-        for job in jobs:
-            for name, digest in job.digests.items():
-                groups.setdefault((job.request.tenant, digest),
-                                  []).append((job, name))
-        for (tenant, _digest), members in groups.items():
             group_span = None
             try:
-                rotating = [(job, name, amounts, conj)
-                            for job, name in members
-                            for amounts, conj in
-                            [_input_galois(job.plan, name,
-                                           exclude=job.cse_covered)]
-                            if amounts or conj]
-                if len({id(job) for job, *_ in rotating}) < 2:
-                    continue  # a single job's executor hoists on its own
-                session = self.registry.session(tenant)
-                job0, name0 = rotating[0][0], rotating[0][1]
-                ct = job0.inputs[name0]
-                meta = job0.plan.meta[job0.plan.inputs[name0]]
-                if ct.level != meta.level:
-                    continue  # executor will drop the input first
-                union = sorted(set().union(*(a for _, _, a, _ in rotating)))
-                conjugate = any(c for *_, c in rotating)
+                window = merge_window([(job.plan, self._keys(job),
+                                        job.digests) for job in members])
+                if window is None:
+                    continue
                 if batch_span is not None:
                     group_span = batch_span.child(
                         "coalesce_group", cat="sched", tenant=tenant,
-                        members=len(rotating), amounts=len(union))
+                        members=len(members), nodes=len(window.plan.order))
                 tally_before = (_obs_kernel.snapshot()
                                 if _obs_kernel._ENABLED else None)
-                rotations, conj_ct = session.evaluator.galois_hoisted(
-                    ct, union, conjugate=conjugate)
-                saved = max(0, len(rotating) - 1)
-                self._bump("coalesced_raises", saved)
-                self._m_coalesced.inc(saved)
-                session.touch(union, self.registry)
-                for job, name, amounts, needs_conj in rotating:
-                    seeded = job.seeded = job.seeded or {}
-                    seeded[name] = (rotations,
-                                    conj_ct if needs_conj else None)
+                inputs = {digest: job.inputs[name] for job in members
+                          for name, digest in job.digests.items()}
+                results = execute_subgraph(
+                    window.plan, self.registry.session(tenant).evaluator,
+                    inputs, window.targets)
+                for job, seed, seeded, coalesced in zip(
+                        members, window.seeds, window.cse_seeded,
+                        window.coalesced):
+                    job.seeded_nodes = {nid: results[vid]
+                                        for nid, vid in seed.items()}
+                    job.cse_seeded, job.coalesced = seeded, coalesced
+                reuses = max(0, sum(window.cse_seeded) - 1)
+                self._bump("coalesced_raises", window.raises_saved)
+                self._m_raises_saved.inc(window.raises_saved)
+                self._bump("cse_reuses", reuses)
+                self._m_cse.inc(reuses)
                 if group_span is not None:
                     if tally_before is not None:
                         group_span.annotate(
@@ -869,7 +794,14 @@ class RequestScheduler:
                 if group_span is not None:
                     group_span.annotate(error=type(exc).__name__)
                     group_span.end()
-                continue  # group falls back to per-job hoisting
+                continue  # the tenant's jobs run on their own
+
+    def _keys(self, job: _Job) -> PlanKeys:
+        """Window-plan node keys, cached by plan-cache key."""
+        keys = self._plan_keys.get(job.cache_key)
+        if keys is None:
+            keys = self._plan_keys[job.cache_key] = plan_keys(job.plan)
+        return keys
 
     # ----- execution ---------------------------------------------------------
 
@@ -942,7 +874,6 @@ class RequestScheduler:
                 raise KeyEvictedError(tenant, missing)
             session.touch(needed, self.registry)
             outputs = execute(job.plan, session.evaluator, job.inputs,
-                              seeded_galois=job.seeded,
                               seeded_nodes=job.seeded_nodes,
                               should_cancel=cancel.is_set,
                               span=attempt_span,
@@ -976,9 +907,9 @@ class RequestScheduler:
             program_name=job.request.program.name,
             estimated_seconds=job.estimate,
             plan_cache_hit=job.cache_hit,
-            coalesced=job.seeded is not None,
+            coalesced=job.coalesced,
             wall_seconds=wall,
-            cse_seeded=job.seeded_nodes is not None,
+            cse_seeded=job.cse_seeded,
             headroom_bits=headroom,
             precision_at_risk=risk)
 
@@ -1095,6 +1026,7 @@ class RequestScheduler:
                     "jobs_failed": self.jobs_failed,
                     "jobs_overloaded": self.jobs_overloaded,
                     "jobs_shed": self.jobs_shed,
+                    "coalesced_raises": self.coalesced_raises,
                     "cse_reuses": self.cse_reuses,
                     "precision_at_risk_jobs": at_risk,
                     "retries": supervisor["retries"],
@@ -1165,91 +1097,6 @@ class RequestScheduler:
             parts.append(gated)
         parts.append(self.calibration.render_prometheus())
         return "".join(parts)
-
-
-def _input_galois(plan: Plan, input_name: str,
-                  exclude: frozenset | None = None
-                  ) -> tuple[set[int], bool]:
-    """(rotation amounts, any-conjugation) applied directly to an input.
-
-    Galois nodes a fusion absorbed or CSE seeding skips (``exclude``)
-    never execute individually, so their amounts must not inflate a
-    coalesced union.  Amounts are reduced mod ``n_slots`` to match the
-    canonical form the IR, the executor's seed lookup, and
-    ``galois_hoisted``'s result keys all use.
-    """
-    src = plan.inputs.get(input_name)
-    n_slots = plan.program.n_slots
-    amounts: set[int] = set()
-    conj = False
-    for nid in plan.order:
-        if exclude is not None and nid in exclude:
-            continue
-        idx = plan.fusion_of.get(nid)
-        if idx is not None and plan.fusions[idx].root != nid:
-            continue  # absorbed into a fused rotate-reduce
-        node = plan.nodes[nid]
-        if node.args and node.args[0] == src:
-            if node.op is OpCode.HROT:
-                amounts.add(node.rotation % n_slots)
-            elif node.op is OpCode.CONJ:
-                conj = True
-    return amounts, conj
-
-
-def _shared_subgraph(plan: Plan, shared_names: set[str]
-                     ) -> tuple[list[int], frozenset]:
-    """(frontier node ids, all skipped node ids) for a CSE seeding.
-
-    A node belongs to the shared subgraph when every value it
-    transitively depends on is an INPUT in ``shared_names`` — its
-    result is then a pure function of blobs the whole group shares.
-    The *frontier* is the subgraph's boundary (nodes some non-shared
-    consumer or a program output needs); seeding just the frontier
-    lets the executor's liveness sweep skip everything upstream.
-    BOOTSTRAP nodes never join (bootstrapper state is per-attempt), and
-    nodes absorbed by a rotate-reduce fusion are represented by their
-    fusion root.
-    """
-    from repro.runtime.executor import _effective_args
-
-    def absorbed(nid: int) -> bool:
-        idx = plan.fusion_of.get(nid)
-        return idx is not None and plan.fusions[idx].root != nid
-
-    ok: set[int] = set()
-    for nid in plan.order:
-        if absorbed(nid):
-            continue
-        node = plan.nodes[nid]
-        if node.op is OpCode.INPUT:
-            if node.name in shared_names:
-                ok.add(nid)
-            continue
-        if node.op is OpCode.BOOTSTRAP:
-            continue
-        args = _effective_args(plan, nid)
-        if args and all(a in ok for a in args):
-            ok.add(nid)
-    consumers: dict[int, list[int]] = {}
-    for nid in plan.order:
-        if absorbed(nid):
-            continue
-        for arg in _effective_args(plan, nid):
-            consumers.setdefault(arg, []).append(nid)
-    output_ids = set(plan.outputs.values())
-    frontier = sorted(
-        nid for nid in ok
-        if plan.nodes[nid].op is not OpCode.INPUT
-        and (nid in output_ids
-             or any(c not in ok for c in consumers.get(nid, ()))))
-    covered = {nid for nid in ok
-               if plan.nodes[nid].op is not OpCode.INPUT}
-    for nid in list(covered):
-        idx = plan.fusion_of.get(nid)
-        if idx is not None and plan.fusions[idx].root == nid:
-            covered.update(plan.fusions[idx].covered)
-    return frontier, frozenset(covered)
 
 
 def _finish_future(future: asyncio.Future, result: JobResult) -> None:

@@ -155,12 +155,12 @@ def _single_prime_base(ctx: NttContext):
 
 @pytest.mark.slow
 class TestTripleRouteEquivalence:
-    """sequential == coefficient-hoisted == NTT-domain, bit for bit.
+    """sequential == NTT-domain hoisted, bit for bit.
 
-    All three rotation routes must produce identical ciphertext
-    residues: `rotate` (NTT-domain, per-op raise), `rotate_hoisted`
-    with domain="ntt" (shared raise) and domain="coeff" (the PR-3
-    oracle: shared iNTT/BConv, per-op forward transform).
+    Both rotation routes must produce identical ciphertext residues:
+    `rotate` (NTT-domain, per-op raise) and `rotate_hoisted` (one
+    shared raise).  The gather itself is pinned to the
+    coefficient-domain `galois_coeff` oracle above.
     """
 
     @given(amounts=st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]),
@@ -178,17 +178,13 @@ class TestTripleRouteEquivalence:
         if level_drop:
             ct = small_evaluator.drop_to_level(ct, ct.level - level_drop)
         ntt_batch = small_evaluator.rotate_hoisted(ct, amounts)
-        coeff_batch = small_evaluator.rotate_hoisted(ct, amounts,
-                                                     domain="coeff")
         for amount in set(amounts):
             sequential = small_evaluator.rotate(ct, amount)
-            for got in (ntt_batch[amount], coeff_batch[amount]):
-                assert got.level == sequential.level
-                assert got.scale == sequential.scale
-                assert np.array_equal(got.b.residues,
-                                      sequential.b.residues)
-                assert np.array_equal(got.a.residues,
-                                      sequential.a.residues)
+            got = ntt_batch[amount]
+            assert got.level == sequential.level
+            assert got.scale == sequential.scale
+            assert np.array_equal(got.b.residues, sequential.b.residues)
+            assert np.array_equal(got.a.residues, sequential.a.residues)
 
     def test_conjugation_in_batch_matches_standalone(
             self, small_evaluator, small_keys, small_encoder, rng,
@@ -205,13 +201,6 @@ class TestTripleRouteEquivalence:
             want = small_evaluator.rotate(ct, amount)
             assert np.array_equal(rotations[amount].b.residues,
                                   want.b.residues)
-
-    def test_invalid_domain_rejected(self, small_evaluator, small_keys,
-                                     small_encoder, rng, small_params):
-        z = rng.normal(size=small_params.slots_max) + 0j
-        ct = encrypt_message(small_keys, small_encoder, z, SCALE)
-        with pytest.raises(ValueError):
-            small_evaluator.rotate_hoisted(ct, [1], domain="evaluation")
 
 
 class TestMonomialShift:

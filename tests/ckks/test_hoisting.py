@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks.keyswitch import (
-    hoist_decomposition,
     key_switch,
     key_switch_raised,
     raise_decomposition,
-    raise_hoisted,
 )
 from repro.ckks.rns import RnsPolynomial
 from tests.conftest import encrypt_message
@@ -136,7 +134,7 @@ class TestHoistedRotation:
 class TestHoistedBitIdentity:
     """Invariant: rotate_hoisted(ct, rots) == {r: rotate(ct, r)} bitwise.
 
-    Both paths funnel through ``Evaluator._galois_from_hoisted``; the
+    Both paths funnel through ``Evaluator._galois_from_raised``; the
     only difference is whether the decompose/ModUp half is shared, and
     that half is a deterministic function of ``ct.a``.  Any residue
     mismatch means the shared half leaked rotation-dependent state.
@@ -164,20 +162,3 @@ class TestHoistedBitIdentity:
             assert got.scale == want.scale
             assert np.array_equal(got.b.residues, want.b.residues)
             assert np.array_equal(got.a.residues, want.a.residues)
-
-    def test_hoist_halves_compose_to_full_raise(self, small_ring):
-        """hoist + raise(galois=1) reproduces raise_decomposition."""
-        level = 4
-        poly = _uniform(small_ring, small_ring.base_q(level), 11)
-        parts = hoist_decomposition(poly, level, small_ring)
-        raised = raise_hoisted(parts, 1, level, small_ring)
-        want = raise_decomposition(poly, level, small_ring)
-        assert len(raised) == len(want)
-        for got, expect in zip(raised, want):
-            assert got.base == expect.base
-            assert np.array_equal(got.residues, expect.residues)
-
-    def test_hoist_requires_ntt(self, small_ring):
-        poly = _uniform(small_ring, small_ring.base_q(2), 12).from_ntt()
-        with pytest.raises(ValueError):
-            hoist_decomposition(poly, 2, small_ring)

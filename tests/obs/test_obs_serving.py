@@ -33,12 +33,17 @@ from repro.service import (
 AMOUNTS = (1, 2, 3)
 
 
-def stencil_program(amounts, name, n_slots=8):
+def stencil_program(amounts, name, n_slots=8, own_tap=None):
+    """``0.5 x + 0.25 sum_a rot(x, a)``; ``own_tap`` adds
+    ``rot(x * own_tap, 1)``, a term no other job computes, so a job
+    sharing the rest keeps input and rotation ops of its own."""
     prog = Program(n_slots=n_slots, name=name)
     x = prog.input("x")
     acc = x * 0.5
     for amount in amounts:
         acc = acc + x.rotate(amount) * 0.25
+    if own_tap is not None:
+        acc = acc + (x * own_tap).rotate(1)
     prog.output("out", acc)
     return prog
 
@@ -69,10 +74,12 @@ def two_tenant_requests(make_client, server):
         onboard(server, client)
         blob = client.encrypt_blob(np.linspace(-0.3, 0.3, 8))
         requests += [
-            JobRequest(tenant, stencil_program(AMOUNTS, f"{tenant}-s0"),
+            JobRequest(tenant, stencil_program(AMOUNTS, f"{tenant}-s0",
+                                               own_tap=0.0625),
                        {"x": blob}),
             JobRequest(tenant, stencil_program(AMOUNTS[:2],
-                                               f"{tenant}-s1"),
+                                               f"{tenant}-s1",
+                                               own_tap=0.125),
                        {"x": blob}),
         ]
     return requests
@@ -129,10 +136,10 @@ class TestTracedServing:
         assert batch_roots
         assert sum(span.args["admitted"] for span in batch_roots) \
             == len(requests)
-        # both tenants rotate distinct blobs, so coalescing groups per
-        # tenant (same tenant, same digest, two jobs each) — and the
-        # hoisted galois raise done here carries the kernel deltas that
-        # the seeded per-job hrot spans consequently lack
+        # both tenants rotate distinct blobs, so each tenant's two jobs
+        # merge into one window plan — and the hoisted galois raise
+        # done there carries the kernel deltas of the rotations the
+        # seeded jobs consequently skip
         group_spans = [child for span in batch_roots
                        for child in span.children
                        if child.name == "coalesce_group"]

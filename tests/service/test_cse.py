@@ -1,11 +1,12 @@
-"""Cross-job CSE and the optimizer behind the serving boundary.
+"""Cross-job value reuse and the optimizer behind the serving boundary.
 
-Jobs in one batch window that share a plan-cache entry *and* input
-digests execute their shared subgraph once; every member is seeded with
-the same ciphertext objects, so CSE is byte-identical by construction.
-The tests pin that equivalence against an independent (cse=False) run,
-and exercise the opt-in rotate-reduce fusion end to end through the
-server in both ModDown modes.
+A tenant's jobs in one batch window that bind a common input blob are
+merged into one window plan: every value two of them compute runs once,
+and every member is seeded with the same ciphertext objects, so sharing
+is byte-identical by construction.  The tests pin that equivalence
+against an independent (coalesce=False) run, and exercise the opt-in
+rotate-reduce fusion end to end through the server in both ModDown
+modes.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class TestCrossJobCse:
         outputs = {}
         for cse in (True, False):
             server, client = cse_server(
-                config=ServiceConfig(cse=cse, max_batch=8))
+                config=ServiceConfig(coalesce=cse, max_batch=8))
             results = submit_identical(server, client, count=3,
                                        blob=blob)
             assert all(r.cse_seeded == cse for r in results)
@@ -87,16 +88,27 @@ class TestCrossJobCse:
             assert np.max(np.abs(got - ref)) < 1e-6
         server.shutdown()
 
-    def test_distinct_programs_are_not_seeded(self, cse_server):
-        server, client = cse_server()
-        blob = client.encrypt_blob(VEC)
-        reqs = [JobRequest("alice", stencil_program([a, a + 1],
-                                                    name=f"j{a}"),
-                           {"x": blob})
-                for a in (1, 3, 5)]
-        results = server.serve(reqs)
-        assert not any(r.cse_seeded for r in results)
-        server.shutdown()
+    def test_distinct_programs_share_common_values(self, cse_server,
+                                                   make_client):
+        """Distinct stencils over one blob share ``x * 0.5``: each still
+        decrypts to its own reference, byte-identical to no sharing."""
+        blob = make_client("alice", 11).encrypt_blob(VEC)
+        amounts = [(a, a + 1) for a in (1, 3, 5)]
+        outputs = {}
+        for coalesce in (True, False):
+            server, client = cse_server(
+                config=ServiceConfig(coalesce=coalesce, max_batch=8))
+            results = server.serve([
+                JobRequest("alice", stencil_program(list(a), name=f"j{i}"),
+                           {"x": blob}) for i, a in enumerate(amounts)])
+            assert all(r.cse_seeded == coalesce for r in results)
+            for result, amts in zip(results, amounts):
+                got = client.decrypt_blob(result.outputs["out"])
+                ref = stencil_reference(VEC, list(amts))
+                assert np.max(np.abs(got - ref)) < 1e-6
+            outputs[coalesce] = [r.outputs["out"] for r in results]
+            server.shutdown()
+        assert outputs[True] == outputs[False]
 
     def test_tenants_never_share_a_cse_group(self, make_server,
                                              make_client):
@@ -151,7 +163,7 @@ class TestServedFusion:
 
     def test_fusion_composes_with_cse(self, cse_server):
         server, client = cse_server(config=ServiceConfig(
-            optimize=True, fusion_moddown="single", cse=True,
+            optimize=True, fusion_moddown="single", coalesce=True,
             max_batch=8))
         results = submit_identical(server, client, count=3)
         assert all(r.cse_seeded for r in results)
@@ -159,3 +171,45 @@ class TestServedFusion:
         got = client.decrypt_blob(results[0].outputs["out"])
         assert np.max(np.abs(got - stencil_reference(VEC, [1, 2]))) < 1e-6
         server.shutdown()
+
+
+class TestWindowPlan:
+    def test_one_raise_per_shared_blob(self, cse_server, make_client,
+                                       monkeypatch):
+        """4 copies of one stencil + 3 distinct ones over one blob pay a
+        single raise, byte-identical to running every job alone."""
+        import repro.ckks.keyswitch as keyswitch
+
+        raises = []
+        real = keyswitch.raise_decomposition
+
+        def counting(poly, level, ring):
+            raises.append(level)
+            return real(poly, level, ring)
+
+        monkeypatch.setattr(keyswitch, "raise_decomposition", counting)
+        blob = make_client("alice", 11).encrypt_blob(VEC)
+        amounts = [(1, 2)] * 4 + [(2, 3), (4, 5), (1, 6)]
+        outputs = {}
+        for coalesce in (True, False):
+            server, client = cse_server(config=ServiceConfig(
+                coalesce=coalesce, max_batch=8, batch_window_s=0.05))
+            raises.clear()
+            results = server.serve([
+                JobRequest("alice", stencil_program(list(a), name=f"j{i}"),
+                           {"x": blob}) for i, a in enumerate(amounts)])
+            if coalesce:
+                assert len(raises) == 1
+                assert all(r.coalesced and r.cse_seeded for r in results)
+                stats = server.scheduler.stats()
+                assert stats["coalesced_raises"] == len(amounts) - 1
+                assert stats["cse_reuses"] == len(amounts) - 1
+                assert server.health()["counters"]["coalesced_raises"] \
+                    == len(amounts) - 1
+            for result, amts in zip(results, amounts):
+                got = client.decrypt_blob(result.outputs["out"])
+                ref = stencil_reference(VEC, list(amts))
+                assert np.max(np.abs(got - ref)) < 1e-6
+            outputs[coalesce] = [r.outputs["out"] for r in results]
+            server.shutdown()
+        assert outputs[True] == outputs[False]

@@ -1,8 +1,8 @@
 """Serving-pipeline tests: plan cache, admission, batching, correctness.
 
 The load-bearing invariant: because hoisted galois is bit-identical to
-sequential galois, the scheduler's cross-job coalescing must produce
-*byte-identical* result blobs with batching on and off — batching is a
+sequential galois, the scheduler's cross-job sharing must produce
+*byte-identical* result blobs with sharing on and off — sharing is a
 pure scheduling win, never a numerics change.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.runtime import PlannerConfig, Program, plan_program, \
+from repro.runtime import OpCode, PlannerConfig, Program, plan_program, \
     structural_hash
 from repro.service import AdmissionError, JobRequest, ServiceConfig
 
@@ -299,7 +299,12 @@ class TestConcurrentExecution:
 
 
 class TestSeededExecutor:
-    """execute(seeded_galois=...) is bit-identical to the normal path."""
+    """execute(seeded_nodes=...) is bit-identical to the normal path."""
+
+    @staticmethod
+    def _encrypt(small_keys, small_encoder, z):
+        pt = small_encoder.encode(z + 0j, 2.0 ** 40)
+        return small_keys.encrypt_symmetric(pt.poly, 2.0 ** 40, 8)
 
     def test_seeded_execution_matches_unseeded(self, small_ring,
                                                small_keys,
@@ -307,15 +312,17 @@ class TestSeededExecutor:
                                                small_encoder):
         prog = stencil_program([1, 2, 3])
         plan = plan_program(prog, PlannerConfig.from_ring(small_ring))
-        z = np.linspace(-0.3, 0.3, 8) + 0j
-        pt = small_encoder.encode(z, 2.0 ** 40)
-        ct = small_keys.encrypt_symmetric(pt.poly, 2.0 ** 40, 8)
+        ct = self._encrypt(small_keys, small_encoder,
+                           np.linspace(-0.3, 0.3, 8))
         from repro.runtime import execute
 
         plain = execute(plan, small_evaluator, {"x": ct})
         rotations, _ = small_evaluator.galois_hoisted(ct, [1, 2, 3])
+        seeds = {nid: rotations[plan.nodes[nid].rotation]
+                 for nid in plan.order
+                 if plan.nodes[nid].op is OpCode.HROT}
         seeded = execute(plan, small_evaluator, {"x": ct},
-                         seeded_galois={"x": (rotations, None)})
+                         seeded_nodes=seeds)
         assert np.array_equal(plain["out"].b.residues,
                               seeded["out"].b.residues)
         assert np.array_equal(plain["out"].a.residues,
@@ -323,33 +330,39 @@ class TestSeededExecutor:
 
     def test_negative_amount_program_accepts_canonical_seed(
             self, small_ring, small_keys, small_evaluator, small_encoder):
-        """A ``rotate(-6)`` program consumes a seed keyed by ``2``.
+        """A ``rotate(-6)`` program consumes a seed made for amount ``2``.
 
-        The seeded-rotation dict is always keyed by canonical amounts
-        (what ``galois_hoisted`` was asked for); the lookup on the
-        consuming side reduces the node's amount mod ``n_slots`` so a
-        negative-amount program still hits the seed instead of paying a
-        silent re-raise.
+        Window plans key rotations by canonical amount, so the ``-6``
+        rotation hash-conses with another job's ``rotate(2)`` and the
+        negative-amount program is seeded instead of paying a silent
+        re-raise.
         """
-        prog = stencil_program([-6, 3])
-        plan = plan_program(prog, PlannerConfig.from_ring(small_ring))
-        z = np.linspace(-0.3, 0.3, 8) + 0j
-        pt = small_encoder.encode(z, 2.0 ** 40)
-        ct = small_keys.encrypt_symmetric(pt.poly, 2.0 ** 40, 8)
-        from repro.runtime import execute
+        config = PlannerConfig.from_ring(small_ring)
+        plans = [plan_program(stencil_program(amounts), config)
+                 for amounts in ([-6, 3], [2, 4])]
+        ct = self._encrypt(small_keys, small_encoder,
+                           np.linspace(-0.3, 0.3, 8))
+        from repro.runtime import execute, execute_subgraph
+        from repro.runtime.window import merge_window, plan_keys
 
         import repro.obs as obs
         from repro.obs import kernel as K
 
-        rotations, _ = small_evaluator.galois_hoisted(ct, [2, 3])
+        window = merge_window([(plan, plan_keys(plan), {"x": "blob"})
+                               for plan in plans])
+        results = execute_subgraph(window.plan, small_evaluator,
+                                   {"blob": ct}, window.targets)
+        seeds = {nid: results[vid]
+                 for nid, vid in window.seeds[0].items()}
+        assert seeds
         obs.enable()
         try:
             K.reset()
-            plain = execute(plan, small_evaluator, {"x": ct})
+            plain = execute(plans[0], small_evaluator, {"x": ct})
             plain_tally = K.snapshot()
             K.reset()
-            seeded = execute(plan, small_evaluator, {"x": ct},
-                             seeded_galois={"x": (rotations, None)})
+            seeded = execute(plans[0], small_evaluator, {"x": ct},
+                             seeded_nodes=seeds)
             seeded_tally = K.snapshot()
         finally:
             obs.disable()
@@ -366,13 +379,17 @@ class TestSeededExecutor:
         prog = stencil_program([1, 2])
         plan = plan_program(prog, PlannerConfig.from_ring(small_ring))
         z = np.zeros(8) + 0.25
-        pt = small_encoder.encode(z + 0j, 2.0 ** 40)
-        ct = small_keys.encrypt_symmetric(pt.poly, 2.0 ** 40, 8)
+        ct = self._encrypt(small_keys, small_encoder, z)
         from repro.runtime import execute
 
         rotations, _ = small_evaluator.galois_hoisted(ct, [1])  # 2 missing
-        out = execute(plan, small_evaluator, {"x": ct},
-                      seeded_galois={"x": (rotations, None)})
+        seeds = {nid: rotations[1] for nid in plan.order
+                 if plan.nodes[nid].op is OpCode.HROT
+                 and plan.nodes[nid].rotation == 1}
+        out = execute(plan, small_evaluator, {"x": ct}, seeded_nodes=seeds)
+        assert np.array_equal(
+            out["out"].b.residues,
+            execute(plan, small_evaluator, {"x": ct})["out"].b.residues)
         got = small_evaluator.decrypt_to_message(out["out"],
                                                  small_keys.secret)
         assert np.max(np.abs(got - stencil_reference(z, [1, 2]))) < 1e-6
