@@ -1,10 +1,10 @@
 """Machine-readable wall-clock benchmarks of the functional CKKS hot paths.
 
-Times the kernel engine (NTT, HMult, HRot, hoisted rotation batches,
-small bootstrap) plus the serving layer (wire round-trip, batched vs
-unbatched scheduler throughput) and writes ``BENCH_functional.json``
-mapping kernel -> median seconds, so every future PR has a perf
-trajectory to regress against::
+Times the kernel engine (NTT, HMult, HRot, CMult/CAdd, rescale,
+hoisted rotation batches, small bootstrap) plus the serving layer
+(wire round-trip, batched vs unbatched scheduler throughput) and writes
+``BENCH_functional.json`` mapping kernel -> median seconds, so every
+future PR has a perf trajectory to regress against::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py
     PYTHONPATH=src python benchmarks/run_benchmarks.py --smoke   # CI
@@ -138,6 +138,24 @@ def bench_hmult_rotate(ev, ct, ct_other,
         "hmult_square": (_median_seconds(lambda: ev.multiply(ct, ct), reps),
                          reps),
         "rotate": (_median_seconds(lambda: ev.rotate(ct, 1), reps), reps),
+    }
+
+
+def bench_constants_rescale(ev, ct, ct_other,
+                            reps: int) -> dict[str, tuple[float, int]]:
+    """The EvalMod inner-loop ops on their own.
+
+    ``cmult_cadd`` is one real-scalar CMult (no rescale) followed by
+    one real-scalar CAdd — both per-limb residue-column passes.
+    ``rescale`` drops the top prime of an unrescaled HMult product.
+    """
+    product = ev.multiply(ct, ct_other, rescale=False)
+    return {
+        "cmult_cadd": (_median_seconds(
+            lambda: ev.add_scalar(ev.multiply_scalar(ct, 0.37), -1.25),
+            reps), reps),
+        "rescale": (_median_seconds(lambda: ev.rescale(product), reps),
+                    reps),
     }
 
 
@@ -558,12 +576,14 @@ def main() -> None:
     kernels: dict[str, tuple[float, int]] = {}
 
     ring, kg, ev, ct, ct_other = build_hmult_fixture()
-    # NTT medians gate the perf acceptance, so they get a higher default
-    # rep floor to damp single-core runner noise — unless the user
-    # explicitly asked for a specific count.
+    # NTT medians gate the perf acceptance, and CMult/CAdd and rescale
+    # are sub-millisecond, so they get a higher default rep floor to
+    # damp single-core runner noise — unless the user explicitly asked
+    # for a specific count.
     ntt_reps = reps if args.reps is not None else max(reps, 21)
     kernels.update(bench_ntt(ring, ntt_reps))
     kernels.update(bench_hmult_rotate(ev, ct, ct_other, reps))
+    kernels.update(bench_constants_rescale(ev, ct, ct_other, ntt_reps))
     kernels.update(bench_rotation_batch(ev, ct,
                                         max(1, reps if args.smoke
                                             else reps // 2)))

@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.ckks.cipher import Plaintext
+from repro.ckks.modmath import scalar_columns
 from repro.ckks.params import PrimeContext, RingContext
 from repro.ckks.rns import RnsPolynomial
 
@@ -119,27 +120,46 @@ class Encoder:
         slots = embed_to_slots(coeffs)
         return slots[:n_slots]
 
+    def scalar_columns(self, value: complex, scale: float,
+                       base: tuple[PrimeContext, ...]
+                       ) -> tuple[np.ndarray, np.ndarray] | None:
+        """``round(value*scale) mod q_i`` as an ``(L, 1)`` column + Shoup.
+
+        The constant polynomial ``round(value*scale)`` evaluates to that
+        same integer at every NTT point, so the column *is* its
+        evaluation-domain encoding: a real CMult/CAdd is one broadcast
+        pass per limb with no transform.  Returns ``None`` for a complex
+        ``value``, which needs the generic :meth:`encode`.
+        """
+        real = _real_part(value)
+        if real is None:
+            return None
+        rounded = int(np.rint(real * scale))
+        return scalar_columns(tuple(rounded % p.value for p in base),
+                              tuple(p.value for p in base))
+
     def encode_scalar(self, value: complex, scale: float,
                       base: tuple[PrimeContext, ...]) -> Plaintext:
-        """Encode one scalar replicated across all slots.
+        """Encode one scalar replicated across all slots (NTT domain).
 
-        A real scalar encodes as the constant polynomial round(value*scale);
-        complex scalars additionally use the X^(N/2) coefficient (since
-        X^(N/2) evaluates to +/-i at every slot point... handled by the
-        generic path for correctness).
+        A real scalar encodes as the constant polynomial
+        ``round(value*scale)``, built by broadcasting
+        :meth:`scalar_columns` over the evaluation points.  A complex
+        scalar has no constant-polynomial encoding, so it takes the
+        generic :meth:`encode` of a replicated message.
         """
-        n = self.ring.n
-        if abs(value.imag if isinstance(value, complex) else 0.0) < 1e-300:
-            real = float(value.real if isinstance(value, complex) else value)
-            spread = np.zeros(n, dtype=np.int64)
-            rounded = np.rint(real * scale)
-            if abs(rounded) >= 2 ** 62:
-                obj = np.zeros(n, dtype=object)
-                obj[0] = int(rounded)
-                spread = obj
-            else:
-                spread[0] = np.int64(rounded)
-            poly = RnsPolynomial.from_signed_coeffs(spread, base).to_ntt()
-            return Plaintext(poly=poly, scale=scale)
-        message = np.full(self.ring.n // 2, value, dtype=np.complex128)
-        return self.encode(message, scale, base=base)
+        columns = self.scalar_columns(value, scale, base)
+        if columns is None:
+            message = np.full(self.ring.n // 2, value, dtype=np.complex128)
+            return self.encode(message, scale, base=base)
+        residues = np.broadcast_to(columns[0],
+                                   (len(base), self.ring.n)).copy()
+        return Plaintext(poly=RnsPolynomial(base, residues, is_ntt=True),
+                         scale=scale)
+
+
+def _real_part(value: complex) -> float | None:
+    """``value`` as a float if it is real, else ``None``."""
+    if isinstance(value, complex):
+        return float(value.real) if abs(value.imag) < 1e-300 else None
+    return float(value)

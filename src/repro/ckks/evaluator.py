@@ -2,9 +2,18 @@
 
 Sign convention: a ciphertext ``(b, a)`` decrypts as ``m = b - a*s``.
 All ciphertexts are kept in the NTT domain between operations (as BTS
-does, Section 4.1); only rescaling, automorphisms and base conversions
-drop to the coefficient domain, mirroring the hardware's
-``iNTT -> BConv/perm -> NTT`` pattern.
+does, Section 4.1); only rescaling and base conversions drop to the
+coefficient domain, mirroring the hardware's ``iNTT -> BConv -> NTT``
+pattern (automorphisms gather evaluation points in place).
+
+A real CMult/CAdd never transforms: the NTT of the constant polynomial
+``round(v*scale)`` is that integer at every evaluation point, so CMult
+multiplies each limb of both halves by its residue column and CAdd adds
+the column into ``b`` (:meth:`~repro.ckks.encoder.Encoder.scalar_columns`).
+Complex scalars encode a replicated message and take the PMult/PAdd
+path.  HRescale runs one stacked inverse transform over both halves'
+dropped limbs and one stacked forward transform over both exact
+transfers, then subtracts and scales by ``q_level^-1``.
 """
 
 from __future__ import annotations
@@ -17,8 +26,13 @@ from repro.ckks.cipher import Ciphertext, Plaintext
 from repro.ckks.encoder import Encoder
 from repro.ckks.keys import EvaluationKey, SecretKey
 from repro.ckks.keyswitch import key_switch
+from repro.ckks.modmath import add_mod
 from repro.ckks.params import RingContext
-from repro.ckks.rns import RnsPolynomial, exact_residue_transfer
+from repro.ckks.rns import (
+    RnsPolynomial,
+    StackedTransform,
+    exact_residue_transfer,
+)
 
 #: Relative scale mismatch tolerated by additions.  Rescaling primes sit
 #: within ~2^-25 of their nominal power of two at functional ring sizes,
@@ -91,24 +105,26 @@ class Evaluator:
             raise ValueError(f"scale mismatch: {s0} vs {s1}")
 
     def rescale(self, ct: Ciphertext) -> Ciphertext:
-        """HRescale: divide by the last prime and drop its limb."""
+        """HRescale: divide by the last prime and drop its limb.
+
+        Both halves' last limbs share one inverse transform, and both
+        exact transfers onto ``C_{level-1}`` share one forward transform.
+        """
         if ct.level == 0:
             raise ValueError("cannot rescale below level 0")
         last = ct.b.base[-1]
         new_base = self.ring.base_q(ct.level - 1)
         cols, cols_shoup = self.ring.rescale_inv_scalar_columns(ct.level)
-
-        last_ctx = self.ring.batched_ntt((last,))
-
-        def down(poly: RnsPolynomial) -> RnsPolynomial:
-            last_limb = last_ctx.inverse(poly.residues[-1:])[0]
-            transfer = exact_residue_transfer(last_limb, last,
-                                              new_base).to_ntt()
-            kept = RnsPolynomial(new_base, poly.residues[:-1].copy(), True)
-            return kept.sub(transfer).mul_scalar_columns(cols, cols_shoup)
-
-        return Ciphertext(down(ct.b), down(ct.a),
-                          ct.scale / float(last.value), ct.n_slots)
+        last_limbs = StackedTransform.inverse(
+            [RnsPolynomial((last,), poly.residues[-1:], True)
+             for poly in (ct.b, ct.a)])
+        transfers = StackedTransform.forward(
+            [exact_residue_transfer(limb.residues[0], last, new_base)
+             for limb in last_limbs])
+        b, a = (RnsPolynomial(new_base, poly.residues[:-1], True)
+                .sub(transfer).mul_scalar_columns(cols, cols_shoup)
+                for poly, transfer in zip((ct.b, ct.a), transfers))
+        return Ciphertext(b, a, ct.scale / float(last.value), ct.n_slots)
 
     # ----- additive ops ----------------------------------------------------------
 
@@ -136,9 +152,16 @@ class Evaluator:
         return Ciphertext(ct.b.add(poly), ct.a.clone(), ct.scale, ct.n_slots)
 
     def add_scalar(self, ct: Ciphertext, value: complex) -> Ciphertext:
-        pt = self.encoder.encode_scalar(value, ct.scale,
-                                        self.ring.base_q(ct.level))
-        return self.add_plain(ct, pt)
+        """CAdd: add one scalar (encoded at ``ct.scale``) to every slot."""
+        base = self.ring.base_q(ct.level)
+        columns = self.encoder.scalar_columns(value, ct.scale, base)
+        if columns is None:
+            return self.add_plain(
+                ct, self.encoder.encode_scalar(value, ct.scale, base))
+        b = add_mod(ct.b.residues, columns[0], ct.b.moduli,
+                    out=np.empty_like(ct.b.residues))
+        return Ciphertext(RnsPolynomial(base, b, True), ct.a.clone(),
+                          ct.scale, ct.n_slots)
 
     # ----- multiplicative ops ------------------------------------------------------
 
@@ -182,8 +205,10 @@ class Evaluator:
                         target_scale: float | None = None) -> Ciphertext:
         """CMult: multiply by one scalar encoded at ``scale``.
 
-        Real scalars take the cheap constant-polynomial path; complex
-        scalars encode a full replicated message.
+        A real scalar multiplies each limb by its residue column
+        (:meth:`~repro.ckks.encoder.Encoder.scalar_columns`, no
+        transform); a complex scalar encodes a full replicated message
+        and takes :meth:`multiply_plain`.
 
         ``target_scale`` (requires ``rescale=True``) picks the encoding
         scale so the *output* scale is exactly the requested value:
@@ -200,9 +225,17 @@ class Evaluator:
             scale = target_scale * q_top / ct.scale
         elif scale is None:
             scale = float(self.ring.q_primes[ct.level].value)
-        pt = self.encoder.encode_scalar(value, scale,
-                                        self.ring.base_q(ct.level))
-        out = self.multiply_plain(ct, pt, rescale=rescale)
+        base = self.ring.base_q(ct.level)
+        columns = self.encoder.scalar_columns(value, scale, base)
+        if columns is None:
+            out = self.multiply_plain(
+                ct, self.encoder.encode_scalar(value, scale, base))
+        else:
+            out = Ciphertext(ct.b.mul_scalar_columns(*columns),
+                             ct.a.mul_scalar_columns(*columns),
+                             ct.scale * scale, ct.n_slots)
+        if rescale:
+            out = self.rescale(out)
         if target_scale is not None:
             out.scale = target_scale  # exact by construction
         return out
@@ -412,24 +445,14 @@ class Evaluator:
                 raise ValueError(
                     f"rotate_reduce term scales diverge: {term_scale:.6g}"
                     f" vs {out_scale:.6g}")
-            weight_qp = weight_q = None
+            weigh_q = weigh_qp = None
             if term.weight is not None:
-                if isinstance(term.weight, np.ndarray):
-                    weight_qp = self.encoder.encode(
-                        np.asarray(term.weight, dtype=np.complex128),
-                        scale, base=base_qp).poly
-                else:
-                    weight_qp = self.encoder.encode_scalar(
-                        complex(term.weight), scale, base_qp).poly
-                # The q-prime rows of a C_level+B encoding are exactly
-                # the C_level encoding (same rounded integers, same
-                # residue spread), so one encode serves both halves.
-                weight_q = weight_qp.restrict(base_q)
+                weigh_q, weigh_qp = self._weight_multipliers(
+                    term.weight, scale, base_q, base_qp)
             if term.amount == 0:
                 b_part, a_part = ct.b, ct.a
-                if weight_q is not None:
-                    b_part, a_part = b_part.mul(weight_q), \
-                        a_part.mul(weight_q)
+                if weigh_q is not None:
+                    b_part, a_part = weigh_q(b_part), weigh_q(a_part)
                 b_acc = accumulate(b_acc, b_part, term.sign)
                 a_acc = accumulate(a_acc, a_part, term.sign)
                 continue
@@ -437,9 +460,9 @@ class Evaluator:
             ks_b, ks_a = key_switch_accumulate(
                 galois_raised(raised, galois_elt), evk, level, ring)
             b_rot = ct.b.galois(galois_elt)
-            if weight_q is not None:
-                b_rot = b_rot.mul(weight_q)
-                ks_b, ks_a = ks_b.mul(weight_qp), ks_a.mul(weight_qp)
+            if weigh_q is not None:
+                b_rot = weigh_q(b_rot)
+                ks_b, ks_a = weigh_qp(ks_b), weigh_qp(ks_a)
             b_acc = accumulate(b_acc, b_rot, term.sign)
             ks_b_acc = accumulate(ks_b_acc, ks_b, term.sign)
             ks_a_acc = accumulate(ks_a_acc, ks_a, term.sign)
@@ -449,6 +472,31 @@ class Evaluator:
             b_acc = ks_b_md.neg() if b_acc is None else b_acc.sub(ks_b_md)
             a_acc = ks_a_md.neg() if a_acc is None else a_acc.sub(ks_a_md)
         return Ciphertext(b_acc, a_acc, out_scale, ct.n_slots)
+
+    def _weight_multipliers(self, weight, scale: float, base_q, base_qp):
+        """``(times_q, times_qp)``: multiply by ``weight`` over each base.
+
+        The q-prime rows of a ``C_level + B`` encoding are exactly the
+        ``C_level`` encoding (same rounded integers), so one encoding
+        serves both halves.  A real scalar is a residue column; a slot
+        vector or complex scalar is an encoded polynomial.
+        """
+        if isinstance(weight, np.ndarray):
+            weight_qp = self.encoder.encode(
+                np.asarray(weight, dtype=np.complex128), scale,
+                base=base_qp).poly
+        else:
+            weight = complex(weight)
+            columns = self.encoder.scalar_columns(weight, scale, base_qp)
+            if columns is not None:
+                cols, shoup = columns
+                rows = len(base_q)
+                return (lambda poly: poly.mul_scalar_columns(
+                            cols[:rows], shoup[:rows]),
+                        lambda poly: poly.mul_scalar_columns(cols, shoup))
+            weight_qp = self.encoder.encode_scalar(weight, scale,
+                                                   base_qp).poly
+        return weight_qp.restrict(base_q).mul, weight_qp.mul
 
     def _rotate_reduce_stacked(self, ct: Ciphertext,
                                terms: list[ReduceTerm],

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ckks.encoder import Encoder, embed_to_slots, slots_to_coeffs
+from tests.conftest import constant_plaintext_oracle, real_scalars
 
 
 class TestEmbeddingMaps:
@@ -104,6 +105,54 @@ class TestScalarEncoding:
                                          small_ring.base_q(1))
         got = small_encoder.decode(pt, 4)
         assert np.max(np.abs(got + 7.5)) < 1e-9
+
+
+class TestScalarColumnOracle:
+    """Real scalars encode as residue columns, never through an NTT.
+
+    The oracle is the constant polynomial ``round(value*scale)`` spread
+    over the base and forward-transformed; the column route must equal
+    it byte for byte over ``C_level`` and ``C_level + B``.
+    """
+
+    @given(value=real_scalars, level=st.integers(0, 6),
+           extended=st.booleans(),
+           scale_bits=st.sampled_from([30, 40, 52]))
+    @example(value=2.0 ** 22, level=6, extended=True, scale_bits=40)
+    @example(value=-(2.0 ** 23) - 0.5, level=0, extended=False,
+             scale_bits=40)
+    @settings(max_examples=60, deadline=None)
+    def test_encode_scalar_matches_constant_oracle(
+            self, small_encoder, small_ring, value, level, extended,
+            scale_bits):
+        base = (small_ring.base_qp(level) if extended
+                else small_ring.base_q(level))
+        scale = 2.0 ** scale_bits
+        got = small_encoder.encode_scalar(value, scale, base)
+        want = constant_plaintext_oracle(small_ring, value, scale, base)
+        assert got.poly.base == want.poly.base
+        assert got.poly.is_ntt and want.poly.is_ntt
+        assert got.poly.residues.dtype == want.poly.residues.dtype
+        assert np.array_equal(got.poly.residues, want.poly.residues)
+        assert got.scale == want.scale
+        cols, _ = small_encoder.scalar_columns(value, scale, base)
+        assert np.array_equal(cols[:, 0], want.poly.residues[:, 0])
+
+    def test_complex_scalar_has_no_column(self, small_encoder, small_ring):
+        base = small_ring.base_q(3)
+        assert small_encoder.scalar_columns(1.0 + 2.0j, 2.0 ** 40,
+                                            base) is None
+        assert small_encoder.scalar_columns(3.0 + 0j, 2.0 ** 40,
+                                            base) is not None
+
+    def test_complex_scalar_takes_generic_encode(self, small_encoder,
+                                                 small_ring, small_params):
+        base = small_ring.base_q(3)
+        got = small_encoder.encode_scalar(0.5 - 1.5j, 2.0 ** 40, base)
+        want = small_encoder.encode(
+            np.full(small_params.slots_max, 0.5 - 1.5j), 2.0 ** 40,
+            base=base)
+        assert np.array_equal(got.poly.residues, want.poly.residues)
 
 
 @given(st.lists(st.floats(min_value=-10, max_value=10,

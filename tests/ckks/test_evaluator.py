@@ -2,8 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from tests.conftest import encrypt_message
+from repro import obs
+from repro.ckks.cipher import Ciphertext
+from repro.ckks.encoder import Encoder
+from repro.ckks.evaluator import ReduceTerm
+from repro.ckks.modmath import inv_mod
+from repro.ckks.ntt import BatchedNttContext, NttContext
+from repro.ckks.rns import RnsPolynomial, exact_residue_transfer
+from repro.obs import kernel as K
+from tests.conftest import (
+    constant_plaintext_oracle,
+    encrypt_message,
+    real_scalars,
+)
 
 SCALE = 2.0 ** 40
 
@@ -18,8 +32,36 @@ def pair(small_keys, small_encoder, rng, small_params):
     return z0, z1, ct0, ct1
 
 
+@pytest.fixture(scope="module")
+def fresh_ct(small_keys, small_encoder, small_params):
+    rng = np.random.default_rng(7)
+    n = small_params.slots_max
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return encrypt_message(small_keys, small_encoder, z, SCALE)
+
+
 def _decrypted(ev, keys, ct):
     return ev.decrypt_to_message(ct, keys.secret)
+
+
+def _assert_same(got: Ciphertext, want: Ciphertext) -> None:
+    """Byte-identical residues (both halves), scale and slot count."""
+    for g, w in ((got.b, want.b), (got.a, want.a)):
+        assert g.base == w.base and g.is_ntt == w.is_ntt
+        assert np.array_equal(g.residues, w.residues)
+    assert got.scale == want.scale
+    assert got.n_slots == want.n_slots
+
+
+def _with_tally(fn):
+    """``(fn(), kernel tally of this thread while fn ran)``."""
+    obs.enable()
+    try:
+        K.reset()
+        out = fn()
+        return out, K.snapshot()
+    finally:
+        obs.disable()
 
 
 class TestEncryptDecrypt:
@@ -289,3 +331,149 @@ class TestHomomorphismProperties:
         a = _decrypted(small_evaluator, small_keys, rot_prod)
         b = _decrypted(small_evaluator, small_keys, prod_rot)
         assert np.max(np.abs(a - b)) < 1e-5
+
+
+#: hypothesis examples share one backend-selected fixture run; nothing in
+#: the fixture is mutated per example.
+_SHARED_FIXTURE = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestScalarColumnOracle:
+    """Real CMult/CAdd equal PMult/PAdd of the constant-polynomial oracle
+    byte for byte, on both modmath backends, with no NTT pass."""
+
+    @given(value=real_scalars, level=st.integers(0, 6),
+           scale_bits=st.sampled_from([30, 40, 52]))
+    @example(value=2.0 ** 22, level=6, scale_bits=40)
+    @example(value=-(2.0 ** 25), level=1, scale_bits=40)
+    @example(value=0.0, level=0, scale_bits=40)
+    @settings(_SHARED_FIXTURE, max_examples=30)
+    def test_cmult_matches_pmult_oracle(self, each_backend, small_evaluator,
+                                        small_ring, fresh_ct, value, level,
+                                        scale_bits):
+        ev = small_evaluator
+        ct = ev.drop_to_level(fresh_ct, level)
+        scale = 2.0 ** scale_bits
+        pt = constant_plaintext_oracle(small_ring, value, scale,
+                                       small_ring.base_q(level))
+        got, tally = _with_tally(
+            lambda: ev.multiply_scalar(ct, value, scale=scale))
+        _assert_same(got, ev.multiply_plain(ct, pt))
+        assert tally["ntt_forward"] == 0 and tally["ntt_inverse"] == 0
+        if level > 0:
+            _assert_same(ev.multiply_scalar(ct, value, scale=scale,
+                                            rescale=True),
+                         ev.multiply_plain(ct, pt, rescale=True))
+
+    @given(value=real_scalars, level=st.integers(0, 6))
+    @example(value=2.0 ** 22, level=6)
+    @example(value=-(2.0 ** 24) - 0.5, level=0)
+    @settings(_SHARED_FIXTURE, max_examples=30)
+    def test_cadd_matches_padd_oracle(self, each_backend, small_evaluator,
+                                      small_ring, fresh_ct, value, level):
+        ev = small_evaluator
+        ct = ev.drop_to_level(fresh_ct, level)
+        pt = constant_plaintext_oracle(small_ring, value, ct.scale,
+                                       small_ring.base_q(level))
+        got, tally = _with_tally(lambda: ev.add_scalar(ct, value))
+        _assert_same(got, ev.add_plain(ct, pt))
+        assert tally["ntt_forward"] == 0 and tally["ntt_inverse"] == 0
+
+    def test_target_scale_cmult_matches_oracle(self, small_evaluator,
+                                               small_ring, fresh_ct):
+        ev = small_evaluator
+        drifted = fresh_ct.clone()
+        drifted.scale = fresh_ct.scale * 1.0003
+        got = ev.multiply_scalar(drifted, 0.5, rescale=True,
+                                 target_scale=2.0 ** 40)
+        level = drifted.level
+        enc_scale = 2.0 ** 40 * float(
+            small_ring.q_primes[level].value) / drifted.scale
+        want = ev.multiply_plain(
+            drifted, constant_plaintext_oracle(small_ring, 0.5, enc_scale,
+                                               small_ring.base_q(level)),
+            rescale=True)
+        want.scale = 2.0 ** 40
+        _assert_same(got, want)
+
+    @pytest.mark.parametrize("mode", ["single", "stacked"])
+    def test_rotate_reduce_scalar_weights_match_oracle(
+            self, small_evaluator, small_ring, fresh_ct, monkeypatch,
+            mode):
+        terms = [ReduceTerm(0, 1, 0.75), ReduceTerm(1, -1, -2.5),
+                 ReduceTerm(None, 1, 1e-3), ReduceTerm(4, 1, 3.0 + 0j)]
+        got = small_evaluator.rotate_reduce(fresh_ct, terms, mode)
+        # Force every real weight back through the oracle encoding.
+        monkeypatch.setattr(Encoder, "scalar_columns",
+                            lambda self, value, scale, base: None)
+        monkeypatch.setattr(
+            Encoder, "encode_scalar",
+            lambda self, value, scale, base: constant_plaintext_oracle(
+                small_ring, complex(value).real, scale, base))
+        want = small_evaluator.rotate_reduce(fresh_ct, terms, mode)
+        _assert_same(got, want)
+
+
+def _rescale_oracle(ring, ct: Ciphertext) -> tuple[RnsPolynomial,
+                                                   RnsPolynomial]:
+    """Per-half HRescale: iNTT -> transfer -> NTT -> sub -> scale."""
+    last = ct.b.base[-1]
+    new_base = ring.base_q(ct.level - 1)
+    inverse = {p.value: inv_mod(last.value, p.value) for p in new_base}
+
+    def down(poly: RnsPolynomial) -> RnsPolynomial:
+        limb = poly.restrict((last,)).from_ntt().residues[0]
+        transfer = exact_residue_transfer(limb, last, new_base).to_ntt()
+        return poly.restrict(new_base).sub(transfer).mul_scalar(inverse)
+
+    return down(ct.b), down(ct.a)
+
+
+def _random_ciphertext(ring, level: int, seed: int) -> Ciphertext:
+    rng = np.random.default_rng(seed)
+    base = ring.base_q(level)
+
+    def poly():
+        rows = [rng.integers(0, p.value, size=ring.n, dtype=np.uint64)
+                for p in base]
+        return RnsPolynomial(base, np.stack(rows), True)
+
+    return Ciphertext(poly(), poly(), SCALE * 2.0 ** 40,
+                      ring.params.slots_max)
+
+
+class TestStackedRescale:
+    @pytest.mark.parametrize("level", range(1, 7))
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(_SHARED_FIXTURE, max_examples=8)
+    def test_matches_per_half_oracle(self, each_backend, small_evaluator,
+                                     small_ring, level, seed):
+        ct = _random_ciphertext(small_ring, level, seed)
+        got = small_evaluator.rescale(ct)
+        want_b, want_a = _rescale_oracle(small_ring, ct)
+        for g, w in ((got.b, want_b), (got.a, want_a)):
+            assert g.base == w.base and g.is_ntt
+            assert np.array_equal(g.residues, w.residues)
+        assert got.scale == ct.scale / float(ct.b.base[-1].value)
+
+    def test_one_transform_call_each_way(self, small_evaluator,
+                                         small_ring, monkeypatch):
+        calls = {"forward": 0, "inverse": 0}
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, a):
+                calls[name] += 1
+                return original(self, a)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for cls in (BatchedNttContext, NttContext):
+            for name in ("forward", "inverse"):
+                counting(cls, name)
+        for level in range(1, 7):
+            calls.update(forward=0, inverse=0)
+            small_evaluator.rescale(_random_ciphertext(small_ring, level, 3))
+            assert calls == {"forward": 1, "inverse": 1}, level

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from repro.ckks.cipher import Plaintext
 from repro.ckks.encoder import Encoder
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.params import CkksParams, RingContext
+from repro.ckks.rns import RnsPolynomial
 
 
 @pytest.fixture(scope="session")
@@ -79,3 +82,35 @@ def encrypt_message(keys: KeyGenerator, encoder: Encoder,
 @pytest.fixture(scope="session")
 def paper_instances() -> tuple[CkksParams, ...]:
     return CkksParams.paper_instances()
+
+
+def constant_plaintext_oracle(ring: RingContext, value: float, scale: float,
+                              base) -> Plaintext:
+    """``round(value*scale)`` as a constant polynomial, forward-transformed.
+
+    The coefficient-domain route a real scalar encoding used to take: the
+    residue-column encodings of ``Encoder.scalar_columns`` (CMult, CAdd,
+    ``encode_scalar``, rotate-reduce weights) must match it byte for
+    byte.  Rounded values of magnitude ``>= 2**62`` take the object-dtype
+    (big-int) spread, as the original route did.
+    """
+    rounded = np.rint(value * scale)
+    if abs(rounded) >= 2 ** 62:
+        spread = np.zeros(ring.n, dtype=object)
+        spread[0] = int(rounded)
+    else:
+        spread = np.zeros(ring.n, dtype=np.int64)
+        spread[0] = np.int64(rounded)
+    poly = RnsPolynomial.from_signed_coeffs(spread, base).to_ntt()
+    return Plaintext(poly=poly, scale=scale)
+
+
+#: Real scalars for the constant-encoding oracle tier: zero, negatives,
+#: fractions, and magnitudes whose rounded encoding reaches ``2**62``
+#: at a ``2**40`` scale (the object-dtype spread).
+real_scalars = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.floats(min_value=2.0 ** 22, max_value=2.0 ** 30).flatmap(
+        lambda v: st.sampled_from([v, -v])),
+    st.sampled_from([0.0, -0.0, -1.0, 0.5, -2.0 ** 22, 2.0 ** 23 + 0.5]),
+)
