@@ -461,7 +461,7 @@ def bench_bootstrap_small(reps: int) -> dict[str, tuple[float, int]]:
 
     # CoeffToSlot at 32 slots: one BSGS matrix with a 7-rotation hoisted
     # baby-step group — the direct gate on the hoisted BSGS path (the
-    # 4-slot bootstrap above only has a single baby rotation).
+    # 4-slot bootstrap above has only 3 baby rotations).
     bs32 = Bootstrapper(ev, BootstrapConfig(
         n_slots=32, sine=SineConfig(k_range=12, degree=63,
                                     double_angles=2)))
@@ -471,6 +471,15 @@ def bench_bootstrap_small(reps: int) -> dict[str, tuple[float, int]]:
                                 2.0 ** 40, 32)
     out["coeff_to_slot_32"] = (
         _median_seconds(lambda: bs32.coeff_to_slot(ct32), reps), reps)
+    # The next two stages at 32 slots, each fed the previous stage's
+    # output: EvalMod runs its one packed sine over 64 slots, and StC is
+    # the 64-diagonal matrix that unpacks it.
+    slotted32 = bs32.coeff_to_slot(ct32)
+    out["eval_mod_32"] = (
+        _median_seconds(lambda: bs32.eval_mod(slotted32), reps), reps)
+    reduced32 = bs32.eval_mod(slotted32)
+    out["slot_to_coeff_32"] = (
+        _median_seconds(lambda: bs32.slot_to_coeff(reduced32), reps), reps)
     return out
 
 

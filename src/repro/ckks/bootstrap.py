@@ -9,13 +9,19 @@ for a small integer polynomial I; the pipeline below then removes the
 1. **ModRaise** - exact RNS lift of the q0 residues to all L+1 primes.
 2. **SubSum** (sparse packing only) - log2(N / 2n) rotations project the
    raised polynomial onto the order-2n subring.
-3. **CoeffToSlot** - two BSGS linear transforms (A z + B conj(z)) move the
-   polynomial's coefficients into slots so modular reduction can act
-   slot-wise.
-4. **EvalMod** - split into real/imaginary parts, evaluate the scaled
-   sine of :mod:`repro.ckks.sine` on each, and recombine (the x -> i*x
-   recombination is a free negacyclic monomial shift by N/2).
-5. **SlotToCoeff** - the inverse transforms, with the final
+3. **CoeffToSlot** - one BSGS linear transform moves the polynomial's
+   coefficients into slots as ``w = c_low + i c_high`` so modular
+   reduction can act slot-wise.
+4. **EvalMod** - split ``w`` into real and imaginary parts, evaluate the
+   scaled sine of :mod:`repro.ckks.sine`, and recombine.  With sparse
+   packing and room to spare (``2n <= N/2``) the two parts share one
+   2n-slot ciphertext ``[Re w; Im w]`` and the sine runs *once*
+   (Bossuat et al., Eurocrypt 2021): CtS writes ``[w; 0]``, the split
+   rotates ``Im w`` into the upper half, and StC reads the halves back as
+   ``Re w + i Im w``.  Full packing has no free slots, so it evaluates the
+   sine on each part and recombines with ``x -> i*x`` (a free negacyclic
+   monomial shift by N/2).
+5. **SlotToCoeff** - the inverse transform, with the final
    ``q0 / (2*pi*Delta)`` amplitude correction folded into the matrix
    constants so it costs no extra level.
 
@@ -34,7 +40,11 @@ import numpy as np
 from repro.ckks.cipher import Ciphertext
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
-from repro.ckks.linear_transform import LinearTransform, bsgs_rotations
+from repro.ckks.linear_transform import (
+    LinearTransform,
+    bsgs_rotations,
+    matrix_diagonals,
+)
 from repro.ckks.params import RingContext
 from repro.ckks.rns import RnsPolynomial, exact_residue_transfer
 from repro.ckks.sine import SineConfig, SineEvaluator
@@ -50,6 +60,11 @@ class BootstrapConfig:
     def levels_consumed(self) -> int:
         """L_boot: CtS (1) + normalize (1) + sine + StC (1)."""
         return 3 + self.sine.depth
+
+
+def _eval_mod_width(n: int, n_slots: int) -> int:
+    """Slots EvalMod runs on: 2n when both halves of w fit, else n."""
+    return 2 * n_slots if 2 * n_slots <= n // 2 else n_slots
 
 
 def _embedding_matrix(sub_degree: int, n_slots: int) -> np.ndarray:
@@ -89,14 +104,24 @@ class Bootstrapper:
             raise ValueError(
                 f"bootstrapping needs {config.levels_consumed()} levels but "
                 f"L={self.ring.max_level}")
-        self._transforms_cache: tuple | None = None
+        #: Slot count of the CtS output / StC input ciphertext; EvalMod
+        #: runs once on ``[Re w; Im w]`` when it is ``2 * n_slots``.
+        self.width = _eval_mod_width(n, config.n_slots)
+        self.packed = self.width != config.n_slots
 
     # ----- static requirements --------------------------------------------------
 
     @staticmethod
     def required_rotations(n: int, n_slots: int) -> set[int]:
-        """Every rotation amount bootstrapping will ask keys for."""
-        amounts = set(bsgs_rotations(n_slots, n_slots))
+        """Every rotation amount bootstrapping will ask keys for.
+
+        CtS has ``n_slots`` diagonals and StC ``width`` diagonals, both
+        applied at ``width`` slots.  The packed split's rotation by
+        ``n_slots`` is the first SubSum step.
+        """
+        width = _eval_mod_width(n, n_slots)
+        amounts = (bsgs_rotations(n_slots, width)
+                   | bsgs_rotations(width, width))
         replicas = (n // 2) // n_slots
         step = n_slots
         while step * 2 <= replicas * n_slots:
@@ -123,7 +148,8 @@ class Bootstrapper:
 
     # ----- transform construction -------------------------------------------------
 
-    def _build_transforms(self) -> tuple[LinearTransform, LinearTransform]:
+    @cached_property
+    def _transforms(self) -> tuple[LinearTransform, LinearTransform]:
         """CtS and StC matrices as BSGS diagonals.
 
         With U the subring embedding (z = U c) and the packing
@@ -138,9 +164,16 @@ class Bootstrapper:
         The CtS matrix also absorbs 1/replicas (undoing SubSum's
         amplification); the StC matrix absorbs q0/(2*pi*Delta), the sine
         amplitude correction, so neither costs an extra level.
+
+        Packed (``width = 2n``): CtS keeps its n diagonals, each encoded
+        2n wide with a zero upper half.  The input repeats with period n,
+        so ``rot(z, d + n) == rot(z, d)`` and the output is ``[w; 0]``.
+        The zeros belong here, encoded at the ~2^40 ``q_level`` scale: a
+        half-mask CMult at the ~2^23 normalize scale rounds 2n
+        coefficients there and costs about 0.14 bits.  StC is the 2n x 2n matrix ``[U, iU]`` tiled
+        over both row halves: it reads ``[re; im]`` and writes
+        ``U (re + i im)`` with period n.
         """
-        if self._transforms_cache is not None:
-            return self._transforms_cache
         n_slots = self.config.n_slots
         m = 2 * n_slots
         u_left = _embedding_matrix(m, n_slots)[:, :n_slots]
@@ -150,9 +183,17 @@ class Bootstrapper:
         delta = 2.0 ** self.ring.params.scale_bits
         amplitude = q0 / (2.0 * np.pi * delta)
         stc_mat = u_left * amplitude
-        self._transforms_cache = (LinearTransform.from_matrix(cts_mat),
-                                  LinearTransform.from_matrix(stc_mat))
-        return self._transforms_cache
+        if not self.packed:
+            return (LinearTransform.from_matrix(cts_mat),
+                    LinearTransform.from_matrix(stc_mat))
+        zeros = np.zeros(n_slots)
+        cts = LinearTransform(
+            {d: np.concatenate([diag, zeros])
+             for d, diag in matrix_diagonals(cts_mat).items()},
+            self.width)
+        stc = LinearTransform.from_matrix(
+            np.tile(np.hstack([stc_mat, 1j * stc_mat]), (2, 1)))
+        return cts, stc
 
     # ----- pipeline stages -----------------------------------------------------------
 
@@ -191,9 +232,14 @@ class Bootstrapper:
         return ev._apply_galois(ct, galois_elt, ev.rotation_keys[amount])
 
     def coeff_to_slot(self, ct: Ciphertext) -> Ciphertext:
-        """Coefficients -> slots; output packs c_low + i * c_high."""
-        cts, _ = self._build_transforms()
-        return cts.apply(self.evaluator, ct)
+        """Coefficients -> slots: ``w = c_low + i c_high``.
+
+        Takes an ``n_slots`` ciphertext and returns a ``width``-slot one:
+        ``[w; 0]`` when packed, ``w`` otherwise.
+        """
+        cts, _ = self._transforms
+        return cts.apply(self.evaluator, Ciphertext(
+            ct.b, ct.a, ct.scale, self.width))
 
     def _mul_by_i(self, ct: Ciphertext) -> Ciphertext:
         """Multiply every slot by i: the monomial shift c(X) -> c(X)*X^(N/2).
@@ -226,15 +272,18 @@ class Bootstrapper:
         return Ciphertext(shift(ct.b), shift(ct.a), ct.scale, ct.n_slots)
 
     def eval_mod(self, ct: Ciphertext) -> Ciphertext:
-        """Slot-wise approximate reduction mod q0 (on c_low + i c_high)."""
+        """Slot-wise approximate reduction mod q0 of the CtS output.
+
+        Packed, the input is ``[w; 0]`` and the output ``[Re w'; Im w']``
+        (one sine evaluation); otherwise ``w`` in, ``w'`` out (two).
+        """
         ev = self.evaluator
         sine_cfg = self.config.sine
         q0 = float(self.ring.q_primes[0].value)
         # Split into real and imaginary parts.
         ct_conj = ev.conjugate(ct)
         two_real = ev.add(ct, ct_conj)
-        two_imag_i = ev.sub(ct, ct_conj)  # == 2i * imag
-        two_imag = self._mul_by_i(ev.negate(two_imag_i))  # -i * (2i*imag)
+        two_imag = self._mul_by_i(ev.sub(ct_conj, ct))  # i * (-2i * imag)
 
         # Normalize: u = value * Delta/(q0 * K); the extra 1/2 folds away
         # the doubling from the conjugate sum.  The multiply also snaps
@@ -243,18 +292,30 @@ class Bootstrapper:
         norm = ct.scale / (q0 * sine_cfg.k_range) / 2.0
         nominal = 2.0 ** self.ring.params.scale_bits
         sine = SineEvaluator(sine_cfg)
-        outputs = []
-        for part in (two_real, two_imag):
+
+        def reduce(part: Ciphertext) -> Ciphertext:
             u_ct = ev.multiply_scalar(part, norm, rescale=True,
                                       target_scale=nominal)
-            outputs.append(sine.evaluate(ev, u_ct))
-        real_out, imag_out = outputs
-        return ev.add(real_out, self._mul_by_i(imag_out))
+            return sine.evaluate(ev, u_ct)
+
+        if self.packed:
+            # [2 Re w; 0] + [0; 2 Im w]: the rotation by n is the first
+            # SubSum key.
+            return reduce(ev.add(
+                two_real, ev.rotate(two_imag, self.config.n_slots)))
+        return ev.add(reduce(two_real), self._mul_by_i(reduce(two_imag)))
 
     def slot_to_coeff(self, ct: Ciphertext) -> Ciphertext:
-        """Slots -> coefficients (amplitude correction already folded in)."""
-        _, stc = self._build_transforms()
-        return stc.apply(self.evaluator, ct)
+        """Slots -> coefficients (amplitude correction already folded in).
+
+        Takes the ``width``-slot EvalMod output and returns an
+        ``n_slots`` ciphertext (packed, StC's output repeats with
+        period n, so relabelling it is exact).
+        """
+        _, stc = self._transforms
+        out = stc.apply(self.evaluator, ct)
+        out.n_slots = self.config.n_slots
+        return out
 
     # ----- full pipeline ---------------------------------------------------------------
 

@@ -8,7 +8,9 @@ from repro.ckks.encoder import Encoder
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.params import CkksParams, RingContext
-from repro.ckks.sine import SineConfig
+from repro.ckks.sine import SineConfig, SineEvaluator
+
+BOOT_SINE = SineConfig(k_range=12, degree=63, double_angles=2)
 
 
 @pytest.fixture(scope="module")
@@ -19,12 +21,37 @@ def boot_setup():
     ring = RingContext(params)
     kg = KeyGenerator(ring, seed=11)
     ev = Evaluator(ring)
-    cfg = BootstrapConfig(
-        n_slots=4,
-        sine=SineConfig(k_range=12, degree=63, double_angles=2))
+    cfg = BootstrapConfig(n_slots=4, sine=BOOT_SINE)
     bs = Bootstrapper(ev, cfg)
     bs.generate_keys(kg)
     return params, ring, kg, ev, bs
+
+
+@pytest.fixture(scope="module")
+def tiny_boot_ring():
+    """N=128 ring for the slot-count edge cases.
+
+    The toy parameters' refreshed error grows with the slot count: at
+    N=512 a 128-slot bootstrap lands near 0.1 on either EvalMod route.
+    At N=128, N/4 and N/2 slots stay well inside the 5e-2 bound.
+    """
+    params = CkksParams.functional(n=1 << 7, l=14, dnum=3, scale_bits=40,
+                                   q0_bits=52, p_bits=52, h=32)
+    ring = RingContext(params)
+    return ring, KeyGenerator(ring, seed=11)
+
+
+def _count_calls(monkeypatch, cls, name):
+    """Wrap ``cls.name`` so every call bumps the returned counter."""
+    calls = [0]
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
 def _encrypt(ring, kg, z, scale=2.0 ** 40):
@@ -53,6 +80,21 @@ class TestConfig:
         amounts = Bootstrapper.required_rotations(512, 4)
         # SubSum needs 4, 8, ..., 128
         assert {4, 8, 16, 32, 64, 128} <= amounts
+
+    @pytest.mark.parametrize("n_slots", [4, 32, 128, 256])
+    def test_required_rotations_cover_transforms(self, boot_setup,
+                                                 n_slots):
+        """The static key list matches the transforms actually built."""
+        _, ring, _, _, _ = boot_setup
+        bs = Bootstrapper(Evaluator(ring), BootstrapConfig(
+            n_slots=n_slots, sine=BOOT_SINE))
+        cts, stc = bs._transforms
+        sub_sum = {n_slots << k for k in
+                   range(((ring.n // 2) // n_slots).bit_length() - 1)}
+        needed = cts.required_rotations() | stc.required_rotations() \
+            | sub_sum
+        assert needed <= Bootstrapper.required_rotations(ring.n, n_slots)
+        assert bs.packed == (2 * n_slots <= ring.n // 2)
 
 
 class TestStages:
@@ -117,6 +159,36 @@ class TestFullPipeline:
         squared = ev.multiply(out, out)
         got = ev.decrypt_to_message(squared, kg.secret)
         assert np.max(np.abs(got - z ** 2)) < 1e-1
+
+    def test_sparse_bootstrap_runs_one_eval_mod(self, boot_setup, rng,
+                                                monkeypatch):
+        """Packed EvalMod: one sine (degree 63, r = 2) = 16 HMults."""
+        _, ring, kg, ev, bs = boot_setup
+        sines = _count_calls(monkeypatch, SineEvaluator, "evaluate")
+        hmults = _count_calls(monkeypatch, Evaluator, "multiply")
+        z = rng.normal(size=4) * 0.5
+        bs.bootstrap(ev.drop_to_level(_encrypt(ring, kg, z + 0j), 0))
+        assert sines[0] == 1
+        assert hmults[0] == 16
+
+    @pytest.mark.parametrize("divisor, sines", [(4, 1), (2, 2)])
+    def test_bootstrap_edge_slot_counts(self, tiny_boot_ring, rng,
+                                        monkeypatch, divisor, sines):
+        """N/4 slots pack 2n = N/2 (one sine); N/2 has no free slots (two)."""
+        ring, kg = tiny_boot_ring
+        n_slots = ring.n // divisor
+        ev = Evaluator(ring)
+        bs = Bootstrapper(ev, BootstrapConfig(n_slots=n_slots,
+                                              sine=BOOT_SINE))
+        bs.generate_keys(kg)
+        calls = _count_calls(monkeypatch, SineEvaluator, "evaluate")
+        z = rng.normal(size=n_slots) * 0.5 \
+            + 1j * rng.normal(size=n_slots) * 0.5
+        out = bs.bootstrap(ev.drop_to_level(_encrypt(ring, kg, z), 0))
+        assert calls[0] == sines
+        assert out.n_slots == n_slots
+        got = ev.decrypt_to_message(out, kg.secret)
+        assert np.max(np.abs(got - z)) < 5e-2
 
     def test_rejects_wrong_slot_count(self, boot_setup, rng):
         _, ring, kg, ev, bs = boot_setup
