@@ -275,8 +275,10 @@ def report_observability(server: FheServer, tracer, trace_path: str,
           "exposition lines")
 
 
-def report_events(events_path: str, journal, chaos: bool) -> None:
-    """Validate the job journal and summarize the lifecycle stream."""
+def report_events(events_path: str, journal, chaos: bool,
+                  counters: dict) -> None:
+    """Validate the job journal, check its terminal lines against the
+    ``health()`` counters, and summarize the lifecycle stream."""
     journal.close()
     records = obs.read_journal(events_path)
     problems = obs.validate_journal(records)
@@ -289,6 +291,13 @@ def report_events(events_path: str, journal, chaos: bool) -> None:
         raise SystemExit(f"journal missing lifecycle events: {by_event}")
     if chaos and not by_event.get("failed"):
         raise SystemExit("chaos journal records no failed jobs")
+    completed, failed = by_event["completed"], by_event.get("failed", 0)
+    if (completed, failed) != (counters["jobs_completed"],
+                               counters["jobs_failed"]
+                               + counters["jobs_rejected"]) \
+            or by_event["submitted"] != completed + failed:
+        raise SystemExit(f"journal {by_event} disagrees with health() "
+                         f"counters {counters}")
     print(f"\n-- job journal ({events_path}) --")
     print(f"  {len(records)} records valid: "
           + ", ".join(f"{k}={v}" for k, v in sorted(by_event.items())))
@@ -421,7 +430,8 @@ def main() -> None:
                              chaos=chaos)
         obs.disable()
     if journal is not None:
-        report_events(events_path, journal, chaos)
+        report_events(events_path, journal, chaos,
+                      server.health()["counters"])
     server.shutdown()
 
 

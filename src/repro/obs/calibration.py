@@ -82,7 +82,7 @@ class CalibrationRecorder:
 
     ``slow_factor`` is the mispricing threshold: ``actual >
     slow_factor * estimate`` logs the job individually.  The serving
-    scheduler defaults it to the supervision deadline multiplier — a
+    scheduler sets it to the supervision deadline multiplier — a
     job slower than that was one floor away from timing out, which is
     exactly "the estimate lied".  ``clock`` stamps slow-job detections
     and is injectable for tests.

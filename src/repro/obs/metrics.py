@@ -132,6 +132,13 @@ class Counter(_Instrument):
         with self._lock:
             return sum(self._values.values())
 
+    def samples(self) -> dict[tuple[str, ...], float]:
+        """Every label combination's value, keyed by its label values in
+        declaration order (a copy: the read-back path for callers that
+        keep their ledger in the registry)."""
+        with self._lock:
+            return dict(self._values)
+
     def collect(self) -> list[str]:
         with self._lock:
             items = sorted(self._values.items())
@@ -253,6 +260,14 @@ class Histogram(_Instrument):
             "p90": self._quantile(counts, total, lo, hi, 0.90),
             "p99": self._quantile(counts, total, lo, hi, 0.99),
         }
+
+    def series(self) -> dict[tuple[str, ...], dict]:
+        """Count/sum/min/max of every observed label combination, keyed
+        like :meth:`Counter.samples`."""
+        with self._lock:
+            return {key: {"count": s.total, "sum": s.sum, "min": s.min,
+                          "max": s.max}
+                    for key, s in self._series.items()}
 
     def quantile(self, q: float, **labels) -> float | None:
         if not 0.0 <= q <= 1.0:

@@ -130,11 +130,8 @@ class ServiceConfig:
     #: as a whole — its galois members no longer join a window raise.
     fusion_moddown: str = "single"   #: forwarded to the planner when
     #: ``optimize`` is set ("single" or "stacked")
-    plan_cache_size: int = 64
     max_job_seconds: float | None = None  #: admission ceiling (estimated
-    #: seconds on ``admission_params``; None disables the simulator)
-    admission_params: CkksParams | None = None  #: instance the admission
-    #: estimate prices jobs on (default: the paper's INS-2)
+    #: seconds on the paper's INS-2; None disables the simulator)
     bootstrap_level: int | None = None  #: forwarded to the planner
     # ----- robustness ------------------------------------------------------
     supervision: SupervisionConfig = field(
@@ -151,12 +148,6 @@ class ServiceConfig:
     fault_plan: FaultPlan | None = None  #: deterministic fault injection
     # ----- observability ---------------------------------------------------
     tracer: Tracer | None = None     #: per-job trace spans (None: untraced)
-    metrics: MetricsRegistry | None = None  #: share one registry across
-    #: schedulers (default: a private always-on registry)
-    calibration_slow_factor: float | None = None  #: slow-job threshold on
-    #: actual/estimate; default is the supervision deadline multiplier —
-    #: a job slower than that was one floor away from timing out, which
-    #: is exactly "the admission estimate lied"
     min_headroom_bits: float | None = 8.0  #: numeric-health floor: a
     #: completed job whose terminal analytic noise headroom falls below
     #: this many bits carries a non-fatal
@@ -213,27 +204,12 @@ class TenantHealth:
     min_headroom_bits: float | None = None  #: worst terminal headroom seen
 
     def as_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "consecutive_failures": self.consecutive_failures,
-            "shed": self.shed,
-            "jobs_completed": self.jobs_completed,
-            "jobs_failed": self.jobs_failed,
-            "jobs_rejected": self.jobs_rejected,
-            "precision_at_risk": self.precision_at_risk,
-            "min_headroom_bits": self.min_headroom_bits,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
 class HealthSnapshot:
-    """Typed degradation snapshot; ``as_dict`` is the endpoint shape.
-
-    Every key the original dict-shaped ``health()`` exposed is preserved
-    by :meth:`as_dict`; the observability fields (per-tenant job
-    counters inside ``tenants``, ``plan_cache``, ``calibration``) are
-    additive.
-    """
+    """Typed degradation snapshot; ``as_dict`` is the endpoint shape."""
 
     queue_depth: int
     backlog_jobs: int
@@ -247,19 +223,7 @@ class HealthSnapshot:
     numeric_health: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "queue_depth": self.queue_depth,
-            "backlog_jobs": self.backlog_jobs,
-            "backlog_seconds": self.backlog_seconds,
-            "max_queue_jobs": self.max_queue_jobs,
-            "backlog_budget_s": self.backlog_budget_s,
-            "tenants": {tenant: health.as_dict()
-                        for tenant, health in self.tenants.items()},
-            "counters": dict(self.counters),
-            "plan_cache": dict(self.plan_cache),
-            "calibration": dict(self.calibration),
-            "numeric_health": dict(self.numeric_health),
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -295,7 +259,7 @@ class RequestScheduler:
         self.registry = registry
         self.config = config or ServiceConfig()
         self.ring = registry.ring
-        self.plan_cache = PlanCache(self.config.plan_cache_size)
+        self.plan_cache = PlanCache()
         self._estimates: dict[str, float] = {}
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, self.config.workers),
@@ -306,24 +270,17 @@ class RequestScheduler:
         self._dispatcher: asyncio.Task | None = None
         self._stopping = False
         self._breakers: dict[str, CircuitBreaker] = {}
-        # Counters are mutated from worker threads and the event loop
-        # alike; every mutation goes through _bump/_stats_lock so
-        # stats() and health() read exact values (plain `+= 1` from
-        # pool threads raced and under-counted).
+        # Backlog and attempt accounting is mutated from worker threads
+        # and the event loop alike; _stats_lock keeps it exact.
         self._stats_lock = threading.Lock()
-        self.jobs_completed = 0
-        self.jobs_rejected = 0       #: admission rejections
-        self.jobs_failed = 0         #: supervised execution failures
-        self.jobs_overloaded = 0     #: submits shed by backpressure
-        self.jobs_shed = 0           #: submits shed by open breakers
-        self.coalesced_raises = 0    #: raises saved by window plans
-        self.cse_reuses = 0          #: jobs reusing another job's value
-        self.precision_at_risk_jobs = 0  #: completed below the floor
         self._backlog_jobs = 0       #: queued + in-flight jobs
         self._backlog_seconds = 0.0  #: their priced accelerator seconds
         # ----- observability ------------------------------------------------
         self.tracer = self.config.tracer
-        self.metrics = self.config.metrics or MetricsRegistry()
+        # The private always-on registry is the job ledger: stats() and
+        # health() read job outcomes back from it (a shared registry
+        # would count other schedulers' jobs).
+        self.metrics = MetricsRegistry()
         self.events = self.config.events
         # Noise profiles are pure functions of the plan (input level and
         # scale are fixed by the planner's meta), so one tracker serves
@@ -333,16 +290,13 @@ class RequestScheduler:
             self.ring, message_bound=self.config.noise_message_bound)
         self._noise_profiles: dict[str, PlanNoiseProfile] = {}
         self._plan_keys: dict[str, PlanKeys] = {}  #: window-plan keys
-        self._tenant_min_headroom: dict[str, float] = {}
-        slow = self.config.calibration_slow_factor
-        if slow is None:
-            # A job slower than deadline_multiplier x estimate was one
-            # floor away from timing out; a degenerate multiplier (the
-            # fault tests pin deadlines to the floor) disables the log.
-            multiplier = self.config.supervision.deadline_multiplier
-            slow = multiplier if multiplier > 0 else None
-        self.calibration = CalibrationRecorder(slow_factor=slow)
-        self._tenant_counts: dict[str, dict[str, int]] = {}
+        # A job slower than deadline_multiplier x estimate was one floor
+        # away from timing out, which is exactly "the admission estimate
+        # lied"; a nonpositive multiplier (the fault tests pin deadlines
+        # to the floor) disables the slow-job log.
+        multiplier = self.config.supervision.deadline_multiplier
+        self.calibration = CalibrationRecorder(
+            slow_factor=multiplier if multiplier > 0 else None)
         metrics = self.metrics
         self._m_jobs = metrics.counter(
             "fhe_jobs_total", "jobs by tenant and outcome",
@@ -355,6 +309,10 @@ class RequestScheduler:
         self._m_cse = metrics.counter(
             "fhe_cse_reuses_total",
             "jobs reusing a value another job of their window computed")
+        self._m_at_risk = metrics.counter(
+            "fhe_precision_at_risk_total",
+            "completed jobs whose terminal headroom fell below the floor",
+            ("tenant",))
         self._m_queue_wait = metrics.histogram(
             "fhe_job_queue_wait_seconds", "submit-to-batch-pull latency")
         self._m_wall = metrics.histogram(
@@ -446,7 +404,6 @@ class RequestScheduler:
         if breaker is not None:
             allowed, retry_after = breaker.allow()
             if not allowed:
-                self._bump("jobs_shed")
                 self._m_jobs.inc(tenant=request.tenant, outcome="shed")
                 raise CircuitOpen(request.tenant, retry_after)
         cost = self._priced_cost(request)
@@ -458,7 +415,6 @@ class RequestScheduler:
                          and self._backlog_seconds + cost
                          > config.backlog_budget_s)
             if over_jobs or over_cost:
-                self.jobs_overloaded += 1
                 # Each axis that tripped contributes its own drain-time
                 # estimate: the job-count bound waits for at least one
                 # queued job to finish, the priced bound for the backlog
@@ -527,18 +483,39 @@ class RequestScheduler:
                 = CircuitBreaker(self.config.breaker)
         return breaker
 
-    def _bump(self, counter: str, by: int = 1) -> None:
-        with self._stats_lock:
-            setattr(self, counter, getattr(self, counter) + by)
+    def _settle(self, job: _Job, kind: str,
+                result: JobResult | Exception | None, **journal) -> None:
+        """Record a job's terminal outcome, then settle its future.
 
-    def _tenant_bump(self, tenant: str, key: str) -> None:
-        with self._stats_lock:
-            counts = self._tenant_counts.get(tenant)
-            if counts is None:
-                counts = self._tenant_counts[tenant] = {
-                    "jobs_completed": 0, "jobs_failed": 0,
-                    "jobs_rejected": 0, "precision_at_risk": 0}
-            counts[key] += 1
+        The one emission point for ``completed``, ``failed``,
+        ``rejected`` and ``cancelled`` jobs: it counts the outcome in
+        ``fhe_jobs_total`` (which :meth:`stats` and :meth:`health` read
+        back), updates the tenant's breaker, and writes the terminal
+        journal line.  ``result`` is the completed job's
+        :class:`JobResult` or the exception failing it; a cancelled job
+        (its submitter gave up while it queued) has no future left to
+        settle and says nothing about the tenant's health.
+        """
+        tenant = job.request.tenant
+        self._m_jobs.inc(tenant=tenant, outcome=kind)
+        if kind == "completed":
+            self._breaker(tenant).record_success()
+            if result.headroom_bits is not None:
+                self._m_headroom.observe(result.headroom_bits, tenant=tenant)
+                journal["headroom_bits"] = round(result.headroom_bits, 3)
+            if result.precision_at_risk is not None:
+                self._m_at_risk.inc(tenant=tenant)
+                journal["precision_at_risk"] = True
+            self._journal("completed", job, outcome="ok",
+                          attempts=result.attempts, **journal)
+            _finish_future(job.future, result)
+            return
+        if kind != "cancelled":
+            self._breaker(tenant).record_failure()
+        self._journal("failed", job, **journal)
+        if result is not None:  # thread-safe: rejections run on a worker
+            job.future.get_loop().call_soon_threadsafe(
+                _fail_future, job.future, result)
 
     def _journal(self, event: str, job: _Job, **fields) -> None:
         """Emit one job-lifecycle line to the opt-in journal.
@@ -649,39 +626,28 @@ class RequestScheduler:
     def _estimate_seconds(self, plan: Plan, cache_key: str) -> float:
         """BTS cycle estimate for a plan, cached by its plan-cache key.
 
-        ``admission_params`` is fixed for the scheduler's lifetime, so
-        the plan-cache key (already computed by :meth:`PlanCache.get`)
-        is a sufficient estimate key — steady-state admission really is
-        one dict lookup.
+        The priced instance (INS-2) is fixed, so the plan-cache key
+        (already computed by :meth:`PlanCache.get`) is a sufficient
+        estimate key — steady-state admission really is one dict lookup.
         """
         cached = self._estimates.get(cache_key)
         if cached is None:
             from repro.core.simulator import BtsSimulator
             from repro.runtime.lowering import lower_to_trace
 
-            params = self.config.admission_params or CkksParams.ins2()
+            params = CkksParams.ins2()
             lowered = lower_to_trace(plan, params)
             cached = BtsSimulator(params).run(lowered.trace).total_seconds
             self._estimates[cache_key] = cached
         return cached
-
-    def _reject(self, job: _Job, exc: Exception) -> None:
-        """Fail one job's future from a worker thread (admission path)."""
-        self._bump("jobs_rejected")
-        self._tenant_bump(job.request.tenant, "jobs_rejected")
-        self._m_jobs.inc(tenant=job.request.tenant, outcome="rejected")
-        self._breaker(job.request.tenant).record_failure()
-        self._journal("failed", job, outcome="rejected",
-                      error=type(exc).__name__)
-        job.future.get_loop().call_soon_threadsafe(
-            _fail_future, job.future, exc)
 
     def _prepare_batch(self, batch: list[_Job]) -> list[_Job]:
         """Plan + admit every job, decode inputs, share work across jobs.
 
         Strictly per-job: a job that fails planning, admission, or blob
         decoding is rejected alone — jobs already prepared (and jobs
-        later in the batch) proceed untouched.
+        later in the batch) proceed untouched.  A job whose submitter
+        was cancelled while it queued is dropped unrun.
         """
         batch_span = None
         if self.tracer is not None:
@@ -690,10 +656,12 @@ class RequestScheduler:
         blob_cache: dict[str, Ciphertext] = {}
         admitted: list[_Job] = []
         for job in batch:
-            queue_wait = time.perf_counter() - job.submitted_at
             if job.queue_span is not None:
                 job.queue_span.end()
-            self._m_queue_wait.observe(queue_wait)
+            if job.future.done():  # submitter cancelled while queued
+                self._settle(job, "cancelled", None, outcome="cancelled")
+                continue
+            self._m_queue_wait.observe(time.perf_counter() - job.submitted_at)
             try:
                 if job.span is not None:
                     with job.span.child("admit", cat="sched") as span:
@@ -707,7 +675,8 @@ class RequestScheduler:
                     self._decode_inputs(job, blob_cache)
                 admitted.append(job)
             except Exception as exc:  # reject: surface to the submitter
-                self._reject(job, exc)
+                self._settle(job, "rejected", exc, outcome="rejected",
+                             error=type(exc).__name__)
         if self.config.coalesce:
             self._share(admitted, batch_span)
         if batch_span is not None:
@@ -778,11 +747,8 @@ class RequestScheduler:
                     job.seeded_nodes = {nid: results[vid]
                                         for nid, vid in seed.items()}
                     job.cse_seeded, job.coalesced = seeded, coalesced
-                reuses = max(0, sum(window.cse_seeded) - 1)
-                self._bump("coalesced_raises", window.raises_saved)
                 self._m_raises_saved.inc(window.raises_saved)
-                self._bump("cse_reuses", reuses)
-                self._m_cse.inc(reuses)
+                self._m_cse.inc(max(0, sum(window.cse_seeded) - 1))
                 if group_span is not None:
                     if tally_before is not None:
                         group_span.annotate(
@@ -807,8 +773,7 @@ class RequestScheduler:
 
     async def _supervise_job(self, job: _Job) -> None:
         """Run one admitted job under supervision; settle its future."""
-        tenant = job.request.tenant
-        label = f"{tenant}/{job.request.program.name}"
+        label = f"{job.request.tenant}/{job.request.program.name}"
         if job.span is not None:
             job.supervise_span = job.span.child("supervise", cat="sched")
         try:
@@ -820,28 +785,14 @@ class RequestScheduler:
             if job.supervise_span is not None:
                 job.supervise_span.annotate(error=type(exc).__name__)
                 job.supervise_span.end()
-            self._bump("jobs_failed")
-            self._tenant_bump(tenant, "jobs_failed")
-            self._m_jobs.inc(tenant=tenant, outcome="failed")
-            self._breaker(tenant).record_failure()
-            self._journal("failed", job, outcome=type(exc).__name__,
-                          attempts=job.attempt_no or None)
-            _fail_future(job.future, exc)
+            self._settle(job, "failed", exc, outcome=type(exc).__name__,
+                         attempts=job.attempt_no or None)
             return
         if job.supervise_span is not None:
             job.supervise_span.annotate(attempts=attempts)
             job.supervise_span.end()
         result.attempts = attempts
-        self._bump("jobs_completed")
-        self._tenant_bump(tenant, "jobs_completed")
-        self._m_jobs.inc(tenant=tenant, outcome="completed")
-        self._breaker(tenant).record_success()
-        self._journal(
-            "completed", job, outcome="ok", attempts=attempts,
-            headroom_bits=None if result.headroom_bits is None
-            else round(result.headroom_bits, 3),
-            precision_at_risk=True if result.precision_at_risk else None)
-        _finish_future(job.future, result)
+        self._settle(job, "completed", result)
 
     def _run_attempt(self, job: _Job, cancel: threading.Event
                      ) -> JobResult:
@@ -934,26 +885,18 @@ class RequestScheduler:
                                       PrecisionAtRisk | None]:
         """Terminal headroom of a completed attempt, plus the warning
         when it fell below the configured floor."""
-        tenant = job.request.tenant
         profile = self._noise_profile(job)
         headroom = profile.terminal_headroom_bits
         if headroom == float("inf"):  # plan with no outputs
             return None, None
-        self._m_headroom.observe(headroom, tenant=tenant)
-        with self._stats_lock:
-            prev = self._tenant_min_headroom.get(tenant)
-            if prev is None or headroom < prev:
-                self._tenant_min_headroom[tenant] = headroom
         risk = None
         floor = self.config.min_headroom_bits
         if floor is not None and headroom < floor:
             worst = min(profile.outputs.values(),
                         key=lambda rec: rec.headroom_bits)
             risk = PrecisionAtRisk(
-                tenant, job.request.program.name, headroom, floor,
-                worst_node=worst.node)
-            self._bump("precision_at_risk_jobs")
-            self._tenant_bump(tenant, "precision_at_risk")
+                job.request.tenant, job.request.program.name, headroom,
+                floor, worst_node=worst.node)
         return headroom, risk
 
     def _inject_worker_faults(self, job: _Job,
@@ -984,81 +927,69 @@ class RequestScheduler:
     # ----- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        with self._stats_lock:
-            return {
-                "jobs_completed": self.jobs_completed,
-                "jobs_rejected": self.jobs_rejected,
-                "jobs_failed": self.jobs_failed,
-                "jobs_overloaded": self.jobs_overloaded,
-                "jobs_shed": self.jobs_shed,
-                "coalesced_raises": self.coalesced_raises,
-                "cse_reuses": self.cse_reuses,
-                "precision_at_risk_jobs": self.precision_at_risk_jobs,
-                "plan_cache": self.plan_cache.stats(),
-            }
+        """Job-outcome and sharing counters, read back from the registry."""
+        outcomes = Counter()
+        for (_, outcome), count in self._m_jobs.samples().items():
+            outcomes[outcome] += int(count)
+        return {
+            **{f"jobs_{outcome}": outcomes[outcome] for outcome in (
+                "completed", "rejected", "failed", "overloaded", "shed")},
+            "coalesced_raises": int(self._m_raises_saved.total()),
+            "cse_reuses": int(self._m_cse.total()),
+            "precision_at_risk_jobs": int(self._m_at_risk.total()),
+            "plan_cache": self.plan_cache.stats(),
+        }
+
+    def _min_headroom(self) -> dict[str, float]:
+        """Worst terminal headroom per tenant (the histogram's min)."""
+        return {tenant: series["min"] for (tenant,), series
+                in self._m_headroom.series().items()}
 
     def health(self) -> HealthSnapshot:
         """Degradation snapshot: queue, backlog, breakers, counters.
 
         Returns a typed :class:`HealthSnapshot`; endpoints that need the
-        original dict shape use :meth:`HealthSnapshot.as_dict`, which
-        preserves every pre-existing key.
+        dict shape use :meth:`HealthSnapshot.as_dict`.
         """
+        counters = self.stats()
+        plan_cache = counters.pop("plan_cache")
         supervisor = self.supervisor.stats()
-        breaker_snaps = {tenant: breaker.snapshot()
-                         for tenant, breaker in self._breakers.items()}
-        with self._stats_lock:
-            tenant_counts = {tenant: dict(counts) for tenant, counts
-                             in self._tenant_counts.items()}
-            tenant_min = dict(self._tenant_min_headroom)
-            at_risk = self.precision_at_risk_jobs
-            snapshot = HealthSnapshot(
-                queue_depth=self._queue.qsize()
-                if self._queue is not None else 0,
-                backlog_jobs=self._backlog_jobs,
-                backlog_seconds=self._backlog_seconds,
-                max_queue_jobs=self.config.max_queue_jobs,
-                backlog_budget_s=self.config.backlog_budget_s,
-                tenants={},
-                counters={
-                    "jobs_completed": self.jobs_completed,
-                    "jobs_rejected": self.jobs_rejected,
-                    "jobs_failed": self.jobs_failed,
-                    "jobs_overloaded": self.jobs_overloaded,
-                    "jobs_shed": self.jobs_shed,
-                    "coalesced_raises": self.coalesced_raises,
-                    "cse_reuses": self.cse_reuses,
-                    "precision_at_risk_jobs": at_risk,
-                    "retries": supervisor["retries"],
-                    "timeouts": supervisor["timeouts"],
-                    "attempts": supervisor["attempts"],
-                },
-                plan_cache=self.plan_cache.stats(),
-                calibration=self.calibration.stats(),
-                numeric_health={
-                    "floor_bits": self.config.min_headroom_bits,
-                    "jobs_at_risk": at_risk,
-                    "min_headroom_bits": min(tenant_min.values())
-                    if tenant_min else None,
-                    "tenants": {tenant: round(value, 3)
-                                for tenant, value
-                                in sorted(tenant_min.items())},
-                },
-            )
-        for tenant in sorted(set(breaker_snaps) | set(tenant_counts)):
-            breaker = breaker_snaps.get(tenant, {})
-            counts = tenant_counts.get(tenant, {})
-            snapshot.tenants[tenant] = TenantHealth(
-                state=breaker.get("state", "closed"),
-                consecutive_failures=breaker.get(
-                    "consecutive_failures", 0),
-                shed=breaker.get("shed", 0),
-                jobs_completed=counts.get("jobs_completed", 0),
-                jobs_failed=counts.get("jobs_failed", 0),
-                jobs_rejected=counts.get("jobs_rejected", 0),
-                precision_at_risk=counts.get("precision_at_risk", 0),
+        counters.update({kind: supervisor[kind]
+                         for kind in ("retries", "timeouts", "attempts")})
+        jobs = self._m_jobs.samples()
+        at_risk = self._m_at_risk.samples()
+        tenant_min = self._min_headroom()
+        tenants = {}
+        for tenant, breaker in sorted(list(self._breakers.items())):
+            tenants[tenant] = TenantHealth(
+                **breaker.snapshot(),
+                jobs_completed=int(jobs.get((tenant, "completed"), 0)),
+                jobs_failed=int(jobs.get((tenant, "failed"), 0)),
+                jobs_rejected=int(jobs.get((tenant, "rejected"), 0)),
+                precision_at_risk=int(at_risk.get((tenant,), 0)),
                 min_headroom_bits=tenant_min.get(tenant))
-        return snapshot
+        with self._stats_lock:
+            backlog_jobs = self._backlog_jobs
+            backlog_seconds = self._backlog_seconds
+        return HealthSnapshot(
+            queue_depth=self._queue.qsize()
+            if self._queue is not None else 0,
+            backlog_jobs=backlog_jobs,
+            backlog_seconds=backlog_seconds,
+            max_queue_jobs=self.config.max_queue_jobs,
+            backlog_budget_s=self.config.backlog_budget_s,
+            tenants=tenants,
+            counters=counters,
+            plan_cache=plan_cache,
+            calibration=self.calibration.stats(),
+            numeric_health={
+                "floor_bits": self.config.min_headroom_bits,
+                "jobs_at_risk": counters["precision_at_risk_jobs"],
+                "min_headroom_bits": min(tenant_min.values(), default=None),
+                "tenants": {tenant: round(value, 3)
+                            for tenant, value in sorted(tenant_min.items())},
+            },
+        )
 
     def render_metrics(self) -> str:
         """Prometheus text: registry + live gauges + calibration block.
@@ -1073,12 +1004,11 @@ class RequestScheduler:
         with self._stats_lock:
             backlog_jobs = self._backlog_jobs
             backlog_seconds = self._backlog_seconds
-            tenant_min = dict(self._tenant_min_headroom)
         self._g_queue_depth.set(
             self._queue.qsize() if self._queue is not None else 0)
         self._g_backlog_jobs.set(backlog_jobs)
         self._g_backlog_seconds.set(backlog_seconds)
-        for tenant, headroom in tenant_min.items():
+        for tenant, headroom in self._min_headroom().items():
             self._g_min_headroom.set(round(headroom, 3), tenant=tenant)
         for tenant, nbytes in self.registry.bytes_by_tenant().items():
             self._g_registry_bytes.set(nbytes, tenant=tenant)

@@ -31,6 +31,11 @@ class TestCounterConcurrency:
         for worker in range(4):
             assert counter.value(worker=worker) == per_thread
         assert counter.total() == 4 * per_thread
+        # read-back: one sample per label combination, keyed by value
+        samples = counter.samples()
+        assert samples == {(str(w),): per_thread for w in range(4)}
+        samples.clear()  # a copy: the counter keeps its values
+        assert counter.total() == 4 * per_thread
 
     def test_histogram_hammer_is_exact(self):
         registry = MetricsRegistry()
@@ -47,6 +52,9 @@ class TestCounterConcurrency:
         for thread in threads:
             thread.join()
         assert hist.snapshot()["count"] == 4 * per_thread
+        assert hist.series() == {(): {"count": 4 * per_thread,
+                                      "sum": 2 * per_thread,
+                                      "min": 0.25, "max": 0.75}}
 
 
 class TestCounter:

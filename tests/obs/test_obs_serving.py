@@ -10,6 +10,9 @@ output blobs to an untraced run.
 from __future__ import annotations
 
 import asyncio
+import io
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,12 +21,19 @@ from repro import obs
 from repro.obs import kernel as obs_kernel
 from repro.obs.trace import Tracer, validate_chrome_trace
 from repro.runtime import Program
+from repro.obs.events import JobJournal, read_journal, validate_journal
 from repro.service import (
+    AdmissionError,
+    BreakerConfig,
+    CircuitOpen,
     FaultKind,
     FaultPlan,
     FaultSpec,
     HealthSnapshot,
+    InjectedCrash,
     JobRequest,
+    JobResult,
+    Overloaded,
     PrecisionAtRisk,
     ServiceConfig,
     SupervisionConfig,
@@ -457,4 +467,81 @@ class TestNumericHealthServing:
         failed = [r for r in records if r["event"] == "failed"]
         assert len(failed) == 1
         assert failed[0]["outcome"] == "InjectedCrash"
+        server.shutdown()
+
+
+class TestLedgersAgree:
+    """stats(), health(), the ``fhe_jobs_total`` exposition and the
+    journal are views of one ledger: they agree count for count."""
+
+    OUTCOMES = {JobResult: "completed", InjectedCrash: "failed",
+                AdmissionError: "rejected", Overloaded: "overloaded",
+                CircuitOpen: "shed"}
+
+    def test_every_surface_counts_the_same_outcomes(self, make_server,
+                                                    make_client):
+        sink = io.StringIO()
+        plan = FaultPlan([FaultSpec(FaultKind.CRASH, tenant="bob",
+                                    program="bob-crash")], seed=11)
+        server = make_server(ServiceConfig(
+            workers=1, max_queue_jobs=4, backlog_budget_s=None,
+            fault_plan=plan, events=JobJournal(sink),
+            breaker=BreakerConfig(threshold=2, cooldown_s=60.0),
+            supervision=SupervisionConfig(max_retries=0,
+                                          deadline_floor_s=10.0)))
+        blobs = {}
+        for tenant, seed in (("alice", 7), ("bob", 13)):
+            client = make_client(tenant, seed)
+            onboard(server, client)
+            blobs[tenant] = client.encrypt_blob(np.linspace(-0.3, 0.3, 8))
+
+        def job(tenant, name, amounts=AMOUNTS):
+            return JobRequest(tenant, stencil_program(amounts, name),
+                              {"x": blobs[tenant]})
+
+        # round 1: completed, crashed, rejected (no key for rotation 5);
+        # bob's two terminal failures open his breaker ...
+        results = serve(server, [
+            job("alice", "a0"), job("alice", "a1"),
+            job("bob", "bob-crash"), job("bob", "b-key", (5,))])
+        # ... so round 2 sheds bob, and alice's 6 submits overflow the
+        # 4-job queue bound by 2
+        results += serve(server, [job("bob", "b-shed")]
+                         + [job("alice", f"a{i}") for i in range(2, 8)])
+        truth = Counter(self.OUTCOMES[type(result)] for result in results)
+        assert truth == {"completed": 6, "failed": 1, "rejected": 1,
+                         "overloaded": 2, "shed": 1}
+
+        tenants = ("alice", "bob")
+        stats = server.scheduler.stats()
+        health = server.health()
+        exposed = {(m["tenant"], m["outcome"]): int(m["value"])
+                   for m in re.finditer(
+                       r'^fhe_jobs_total\{tenant="(?P<tenant>\w+)",'
+                       r'outcome="(?P<outcome>\w+)"\} (?P<value>\d+)$',
+                       server.metrics_text(), re.MULTILINE)}
+        records = read_journal(io.StringIO(sink.getvalue()))
+        assert validate_journal(records) == []
+        journaled = Counter()
+        for rec in records:
+            if rec["event"] == "completed":
+                journaled[rec["tenant"], "completed"] += 1
+            elif rec["event"] == "failed":
+                kind = "rejected" if rec["outcome"] == "rejected" \
+                    else "failed"
+                journaled[rec["tenant"], kind] += 1
+        for outcome, count in truth.items():
+            assert stats[f"jobs_{outcome}"] == count, outcome
+            assert health["counters"][f"jobs_{outcome}"] == count, outcome
+            assert sum(exposed.get((tenant, outcome), 0)
+                       for tenant in tenants) == count, outcome
+        for tenant in tenants:
+            row = health["tenants"][tenant]
+            for outcome in ("completed", "failed", "rejected"):
+                assert row[f"jobs_{outcome}"] \
+                    == exposed.get((tenant, outcome), 0) \
+                    == journaled[tenant, outcome], (tenant, outcome)
+        assert sum(rec["event"] == "submitted" for rec in records) \
+            == sum(journaled.values()) == 8
+        assert health["tenants"]["bob"]["state"] == "open"
         server.shutdown()

@@ -48,7 +48,6 @@ class TestCrossJobCse:
         server, client = cse_server()
         results = submit_identical(server, client, count=3)
         assert all(r.cse_seeded for r in results)
-        assert server.scheduler.cse_reuses == 2
         assert server.scheduler.stats()["cse_reuses"] == 2
         # all three share the literal shared-subgraph output
         blobs = {r.outputs["out"] for r in results}
@@ -81,7 +80,7 @@ class TestCrossJobCse:
                 for i in range(3)]
         results = server.serve(reqs)
         assert not any(r.cse_seeded for r in results)
-        assert server.scheduler.cse_reuses == 0
+        assert server.scheduler.stats()["cse_reuses"] == 0
         for i, r in enumerate(results):
             got = client.decrypt_blob(r.outputs["out"])
             ref = stencil_reference(VEC * (i + 1), [1, 2])
@@ -167,7 +166,7 @@ class TestServedFusion:
             max_batch=8))
         results = submit_identical(server, client, count=3)
         assert all(r.cse_seeded for r in results)
-        assert server.scheduler.cse_reuses == 2
+        assert server.scheduler.stats()["cse_reuses"] == 2
         got = client.decrypt_blob(results[0].outputs["out"])
         assert np.max(np.abs(got - stencil_reference(VEC, [1, 2]))) < 1e-6
         server.shutdown()

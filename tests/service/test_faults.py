@@ -19,6 +19,7 @@ The contracts under test, all deterministic under a fixed
 from __future__ import annotations
 
 import asyncio
+import io
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.obs.events import JobJournal, read_journal, validate_journal
 from repro.runtime import PlannerConfig, Program, plan_program
 from repro.runtime.executor import ExecutionCancelled, execute
 from repro.service import (
@@ -858,6 +860,55 @@ class TestStopDrain:
         [first] = serve(server, [request])   # serve() stops at the end
         [second] = serve(server, [request])  # fresh start must work
         assert first.outputs["out"] == second.outputs["out"]
+
+
+class TestCancelledSubmit:
+    def test_job_cancelled_while_queued_is_dropped_unrun(
+            self, faulted_setup):
+        """A submitter cancelled while its job queues behind a stalled
+        one: the job never starts, is counted once as ``cancelled``
+        (with a terminal journal line), and leaves the breaker alone."""
+        sink = io.StringIO()
+        plan = FaultPlan([FaultSpec(FaultKind.STALL, program="slow",
+                                    stall_s=0.5)], seed=5)
+        server, client = faulted_setup(ServiceConfig(
+            workers=1, max_batch=1, fault_plan=plan,
+            events=JobJournal(sink), supervision=quick_supervision()))
+        blob = client.encrypt_blob(np.zeros(8))
+        slow = JobRequest("alice", stencil_program([1], "slow"),
+                          {"x": blob})
+        queued = JobRequest("alice", stencil_program([2], "queued"),
+                            {"x": blob})
+
+        async def run():
+            server.scheduler.start()
+            try:
+                first = asyncio.ensure_future(server.scheduler.submit(slow))
+                second = asyncio.ensure_future(
+                    server.scheduler.submit(queued))
+                await asyncio.sleep(0.1)  # slow runs, queued still waits
+                second.cancel()
+                return await asyncio.gather(first, second,
+                                            return_exceptions=True)
+            finally:
+                await server.scheduler.stop()
+
+        done, cancelled = asyncio.run(run())
+        assert done.outputs["out"]
+        assert isinstance(cancelled, asyncio.CancelledError)
+        records = read_journal(io.StringIO(sink.getvalue()))
+        assert validate_journal(records) == []
+        events = [(r["event"], r.get("outcome")) for r in records
+                  if r["program"] == "queued"]
+        assert events == [("submitted", None), ("failed", "cancelled")]
+        stats = server.scheduler.stats()
+        assert stats["jobs_completed"] == 1
+        assert stats["jobs_failed"] == stats["jobs_rejected"] == 0
+        assert 'fhe_jobs_total{tenant="alice",outcome="cancelled"} 1' \
+            in server.metrics_text()
+        health = server.health()
+        assert health["tenants"]["alice"]["consecutive_failures"] == 0
+        assert health["backlog_jobs"] == 0
 
 
 # ----- satellite: exact stats under concurrency -------------------------------

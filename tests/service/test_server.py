@@ -204,7 +204,7 @@ class TestBatching:
         programs = [stencil_program(list(a), name=f"j{i}")
                     for i, a in enumerate(amounts)]
         results = self._submit_window(server, client, programs, vec)
-        assert server.scheduler.coalesced_raises >= 3
+        assert server.scheduler.stats()["coalesced_raises"] >= 3
         for result, amts in zip(results, amounts):
             got = client.decrypt_blob(result.outputs["out"])
             ref = stencil_reference(vec, list(amts))
@@ -225,7 +225,7 @@ class TestBatching:
         programs = [stencil_program(list(a), name=f"neg{i}")
                     for i, a in enumerate(amounts)]
         results = self._submit_window(server, client, programs, vec)
-        assert server.scheduler.coalesced_raises >= 2
+        assert server.scheduler.stats()["coalesced_raises"] >= 2
         for result, amts in zip(results, amounts):
             got = client.decrypt_blob(result.outputs["out"])
             ref = stencil_reference(vec, list(amts))
