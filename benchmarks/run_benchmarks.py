@@ -622,7 +622,7 @@ def main() -> None:
         # static per-stage NumPy-dispatch / matrix-pass tallies of the
         # NTT engine on the benchmark base, so pass-count regressions
         # show up in review even when wall-clock noise hides them.
-        "ntt_pass_counts": ring.batched_ntt(full_base).pass_counts(),
+        "ntt_pass_counts": ring.batched_ntt(full_base).plan.pass_counts,
         # deterministic fused-vs-unfused kernel tallies for the
         # rotate-reduce optimizer: the pass-count side of the
         # rotation_batch_fused / rotation_batch_ntt_domain pairing,

@@ -239,10 +239,10 @@ void nm_mul_mod_shoup(i64 ndim, const i64 *dims,
  * The NumPy engine's 3-multiply approximation drops two partial
  * products and lands in [0, 4m); here the full 64x64 high half is one
  * instruction, so the exact Harvey quotient is free and the result
- * stays below 2m — which is what lets the Stockham gate admit wider
- * moduli under this backend (lazy_mult=2 plans).  s_lo/s_hi are the
- * split 32-bit halves of the Shoup constant, exactly as the plan
- * tables store them.                                                    */
+ * stays below 2m, inside the 4m bound the Stockham plan is sized for.
+ * This is the native fast path of every plan's butterfly multiply.
+ * s_lo/s_hi are the split 32-bit halves of the Shoup constant, exactly
+ * as the plan tables store them.                                        */
 
 void nm_shoup4(i64 ndim, const i64 *dims,
                char *out, const i64 *so,

@@ -410,33 +410,27 @@ class ModulusVector:
 
     This is the software MMAU lane configuration: row ``i`` of a residue
     matrix is reduced modulo ``moduli[i]``.  ``u64`` / ``mu_hi`` /
-    ``mu_lo`` are ``(num_limbs, 1, ..., 1)`` column arrays (with
-    ``trailing_dims`` broadcast axes) so that every function in this
-    module applies per-row moduli in one vectorized call.
+    ``mu_lo`` are ``(num_limbs, 1)`` column arrays so that every function
+    in this module applies per-row moduli in one vectorized call (and
+    to any ``(..., num_limbs, N)`` operand by broadcasting).
     """
 
     __slots__ = ("moduli", "values", "u64", "u64_x2", "mu_hi", "mu_lo",
                  "mu_single", "shift_lo", "shift_hi", "shift_qlo",
-                 "shift_qhi", "r64", "r64_shoup", "lazy128_ok",
-                 "trailing_dims", "_expanded")
+                 "shift_qhi", "r64", "r64_shoup", "lazy128_ok")
 
-    def __init__(self, moduli: Sequence[Modulus],
-                 trailing_dims: int = 1) -> None:
-        if trailing_dims < 1:
-            raise ValueError("trailing_dims must be >= 1")
+    def __init__(self, moduli: Sequence[Modulus]) -> None:
         self.moduli = tuple(moduli)
         if not self.moduli:
             raise ValueError("ModulusVector needs at least one modulus")
         self.values = tuple(m.value for m in self.moduli)
-        shape = (len(self.moduli),) + (1,) * trailing_dims
 
         def column(attr: str) -> np.ndarray:
             return np.array([getattr(m, attr) for m in self.moduli],
-                            dtype=np.uint64).reshape(shape)
+                            dtype=np.uint64).reshape(-1, 1)
 
-        self.u64 = np.array(self.values, dtype=np.uint64).reshape(shape)
-        self.u64_x2 = np.array([2 * v for v in self.values],
-                               dtype=np.uint64).reshape(shape)
+        self.u64 = column("value")
+        self.u64_x2 = column("u64_x2")
         self.mu_hi = column("mu_hi")
         self.mu_lo = column("mu_lo")
         self.mu_single = column("mu_single")
@@ -447,28 +441,12 @@ class ModulusVector:
         self.r64 = column("r64")
         self.r64_shoup = column("r64_shoup")
         self.lazy128_ok = all(m.lazy128_ok for m in self.moduli)
-        self.trailing_dims = trailing_dims
-        self._expanded: dict[int, "ModulusVector"] = {}
 
     def __len__(self) -> int:
         return len(self.moduli)
 
     def __getitem__(self, i: int) -> Modulus:
         return self.moduli[i]
-
-    def expand(self, trailing_dims: int) -> "ModulusVector":
-        """A cached view of the same moduli with more broadcast axes.
-
-        Needed when operating on ``(num_limbs, ..., N)`` tensors (e.g. the
-        per-stage butterfly views of the batched NTT, which are 3D).
-        """
-        if trailing_dims == self.trailing_dims:
-            return self
-        cached = self._expanded.get(trailing_dims)
-        if cached is None:
-            cached = ModulusVector(self.moduli, trailing_dims)
-            self._expanded[trailing_dims] = cached
-        return cached
 
 
 def _correct_once(r: np.ndarray, mv: np.ndarray | np.uint64) -> np.ndarray:
@@ -836,8 +814,3 @@ def from_signed(a: np.ndarray, m: Modulus) -> np.ndarray:
                         dtype=np.uint64).reshape(arr.shape)
     return np.mod(arr.astype(np.int64), np.int64(m.value)).astype(np.uint64)
 
-
-def random_residues(rng: np.random.Generator, m: Modulus,
-                    shape: tuple[int, ...]) -> np.ndarray:
-    """Uniform residues in ``[0, m)`` as ``uint64``."""
-    return rng.integers(0, m.value, size=shape, dtype=np.uint64)

@@ -22,35 +22,31 @@ analogue: the per-prime twiddle/Shoup tables of a whole base are stacked
 into ``(num_limbs, n)`` arrays and each butterfly stage runs *once*
 across the full ``(num_limbs, n)`` residue matrix.  The per-prime
 :class:`NttContext` is retained both as the builder of the tables and as
-the scalar reference implementation the batched paths are tested
-bit-identical against: every path computes the exact same canonical
-residues in the same (bit-reversed) order, so outputs agree bit for
-bit, not merely modulo q.
+the scalar reference implementation the batched engine is tested
+bit-identical against: both compute the exact same canonical residues
+in the same (bit-reversed) order, so outputs agree bit for bit, not
+merely modulo q.
 
-Two batched datapaths coexist:
+The batched engine is :class:`_StockhamPlan`, a radix-4 Stockham
+auto-sort transform over ping-pong buffers.  The residue matrix lives
+transposed per stage as ``(limbs, h, B)`` (``B`` transform blocks of
+``h`` coefficients each in the columns), so every butterfly reads
+contiguous row slabs and two radix-2 stages fuse into one radix-4 pass
+whose intermediates stay in scratch.  Twiddles come from precomputed
+per-stage *planes* (the per-block twiddle pattern pre-tiled along the
+contiguous axis together with the split halves of its Shoup companion),
+which keeps every NumPy inner loop unit-stride — the profiled cost of
+the previous layout was dominated by stride-0 broadcast loops and
+32-bit-view upcasts, not by arithmetic.  The butterfly multiply uses a
+3-multiply approximate high-half (the ``a0*b0`` plane of the 128-bit
+product is dropped, costing at most 2 on the Shoup quotient), so lazy
+residues stay below ``4m`` and one conditional-subtraction chain
+normalizes the matrix at the end.
 
-* :class:`_StockhamPlan` — the default for practically-sized moduli —
-  runs a radix-4 Stockham auto-sort transform over ping-pong buffers.
-  The residue matrix lives transposed per stage as ``(limbs, h, B)``
-  (``B`` transform blocks of ``h`` coefficients each in the columns),
-  so every butterfly reads contiguous row slabs and two radix-2 stages
-  fuse into one radix-4 pass whose intermediates stay in scratch.
-  Twiddles come from precomputed per-stage *planes* (the per-block
-  twiddle pattern pre-tiled along the contiguous axis together with the
-  split halves of its Shoup companion), which keeps every NumPy inner
-  loop unit-stride — the profiled cost of the previous layout was
-  dominated by stride-0 broadcast loops and 32-bit-view upcasts, not by
-  arithmetic.  The butterfly multiply uses a 3-multiply approximate
-  high-half (the ``a0*b0`` plane of the 128-bit product is dropped,
-  costing at most 2 on the Shoup quotient), so lazy residues stay below
-  ``4m`` and one conditional-subtraction chain normalizes the matrix at
-  the end.
-
-* the strict radix-2 path (``_forward_radix2`` / ``_inverse_radix2``)
-  — the PR-1 limb-batched kernel, kept for moduli too wide for the
-  relaxed lazy bounds (see :func:`stockham_gate`; ``4m`` on the NumPy
-  backend, ``2m`` when the exact native ``_shoup4`` is active) and as
-  the engine of record for the growth analysis in its docstrings.
+Bases whose moduli are too wide for those lazy bounds (see
+:func:`stockham_gate`; about 58.5 bits at ``N = 2^11``) get no plan and
+run the per-prime oracle row by row.  No shipped parameter set builds
+such a base.
 """
 
 from __future__ import annotations
@@ -64,13 +60,11 @@ from repro.ckks.modmath import (
     Modulus,
     ModulusVector,
     _active_native,
-    _correct_once,
     _native_ok,
     _nm_call,
     add_mod,
     inv_mod,
     mul_mod_shoup,
-    mul_mod_shoup_lazy,
     shoup_precompute,
     sub_mod,
     workspace_buffer,
@@ -113,7 +107,7 @@ def ntt_galois_permutation(n: int, galois_elt: int) -> np.ndarray:
 
     The permutation depends only on ``(n, galois_elt)`` — not on the
     moduli — so one cached table serves every base, and it is identical
-    for the Stockham and strict radix-2 engines (both emit the same
+    for the batched engine and the per-prime oracle (both emit the same
     bit-reversed order).
     """
     if galois_elt % 2 == 0:
@@ -252,12 +246,11 @@ def _shoup4(v: np.ndarray, w: np.ndarray, s_lo: np.ndarray,
     Under the native modmath backend this dispatches to ``nm_shoup4``,
     which recombines the Shoup halves and computes the *exact* quotient
     with a real 128-bit multiply — the result then lands in ``[0, 2m)``
-    for any ``v < 2**64``.  Lazy intermediates therefore differ between
+    for any ``v < 2**64``, which is inside the ``4m`` bound the plan
+    is sized for.  Lazy intermediates therefore differ between
     backends, but both are congruent mod ``m`` and the end-of-transform
     normalization chain maps them to the same canonical residues, so
-    transform outputs stay bit-identical.  The tighter ``2m`` bound is
-    what lets :func:`stockham_gate` admit wider moduli when the exact
-    variant is guaranteed (``lazy_mult=2`` plans).
+    transform outputs stay bit-identical.
     """
     h = _active_native()
     if h is not None and _native_ok(out):
@@ -282,24 +275,23 @@ def _shoup4(v: np.ndarray, w: np.ndarray, s_lo: np.ndarray,
 #: NumPy dispatches issued by one ``_shoup4`` call.
 _SHOUP4_OPS = 12
 
+#: ``_shoup4`` products lie in ``[0, _LAZY_BOUND * m)`` on either backend.
+_LAZY_BOUND = 4
 
-def stockham_gate(n: int, max_modulus: int, lazy_mult: int = 4) -> bool:
-    """True when the lazy bounds of the Stockham engine hold.
 
-    ``lazy_mult`` is the worst-case twiddle-product bound as a multiple
-    of ``m``: 4 for the approximate 3-multiply :func:`_shoup4` (the
-    NumPy path), 2 for the exact native variant.  Forward residues grow
-    additively by at most ``lazy_mult * m`` per radix-2 stage (twiddle
-    products stay below ``lazy_mult * m``, butterflies add a
-    ``lazy_mult * m`` offset), so the final bound
-    ``(lazy_mult * log2(n) + 1) * m`` must fit a word; the inverse
-    needs ``2 * lazy_mult * m < 2**64`` for its add branch.  Moduli too
-    wide even for ``lazy_mult=2`` fall back to the strict radix-2
-    engine.
+def stockham_gate(n: int, max_modulus: int) -> bool:
+    """True when the ``4m`` lazy bounds of the Stockham engine hold.
+
+    Twiddle products from :func:`_shoup4` stay below ``4m`` and the
+    butterflies add a ``4m`` offset, so forward residues grow
+    additively by at most ``4m`` per radix-2 stage: the final bound
+    ``(4 * log2(n) + 1) * m`` must fit a word.  The inverse needs
+    ``8m < 2**64`` for its add branch.  Bases outside the gate run the
+    per-prime :class:`NttContext` oracle row by row.
     """
     k = n.bit_length() - 1
-    return ((lazy_mult * k + 1) * max_modulus < (1 << 64)
-            and 2 * lazy_mult * max_modulus < (1 << 64))
+    return ((_LAZY_BOUND * k + 1) * max_modulus < (1 << 64)
+            and 2 * _LAZY_BOUND * max_modulus < (1 << 64))
 
 
 class _StockhamPlan:
@@ -315,22 +307,14 @@ class _StockhamPlan:
     the auto-sort interleave appears only as strided *writes* (forward)
     or strided *gathers* (inverse).  Twiddle patterns are pre-tiled to
     :data:`_PLANE_TILE` so no inner loop sees a stride-0 operand.
-
-    ``lazy_mult`` selects the lazy-bound regime (see
-    :func:`stockham_gate`): 4 works on every backend; 2 assumes the
-    exact native :func:`_shoup4` and admits moduli up to a word wider,
-    so ``lazy_mult=2`` plans set ``needs_exact`` and are only run when
-    the native backend is active (checked per call via :meth:`usable`,
-    since the backend can be switched at runtime).
+    Only built for bases inside :func:`stockham_gate`.
     """
 
     def __init__(self, contexts: tuple["NttContext", ...],
-                 moduli: ModulusVector, lazy_mult: int = 4) -> None:
+                 moduli: ModulusVector) -> None:
         self.n = n = contexts[0].n
         self.k = k = n.bit_length() - 1
         self.num_limbs = L = len(contexts)
-        self.lazy_mult = lazy_mult
-        self.needs_exact = lazy_mult == 2
         self.lone = bool(k % 2)
         psi = np.stack([c.psi_rev for c in contexts])
         psi_sh = np.stack([c.psi_rev_shoup for c in contexts])
@@ -343,9 +327,9 @@ class _StockhamPlan:
         imax = max(_PLANE_TILE, n // 2)
         self.m_plane = np.ascontiguousarray(
             np.broadcast_to(mods, (L, imax)))
-        self.m_lazy_plane = self.m_plane * np.uint64(lazy_mult)
-        # forward normalization chain: bound (lazy_mult*k+1) m -> halving
-        bound = lazy_mult * k + 1
+        self.m_lazy_plane = self.m_plane * np.uint64(_LAZY_BOUND)
+        # forward normalization chain: bound (4k+1) m -> halving
+        bound = _LAZY_BOUND * k + 1
         mult = 1 << max((bound - 1).bit_length() - 1, 0)
         self.fwd_chain = []
         while mult >= 1:
@@ -443,22 +427,12 @@ class _StockhamPlan:
         inv.append(("normalize", 2 * len(self.inv_chain),
                     2.0 * len(self.inv_chain)))
         self.pass_counts = {
-            "engine": ("stockham-r4-exact" if self.needs_exact
-                       else "stockham-r4"),
+            "engine": "stockham-r4",
             "forward": _tally(fwd),
             "inverse": _tally(inv),
         }
 
     # ----- helpers -------------------------------------------------------
-
-    def usable(self) -> bool:
-        """Whether this plan may run right now.
-
-        ``lazy_mult=2`` plans are only sound with the exact native
-        :func:`_shoup4`; when the native backend is inactive the caller
-        must fall back to the strict radix-2 engine instead.
-        """
-        return not self.needs_exact or _active_native() is not None
 
     def _buffers(self, a: np.ndarray, swaps: int
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -638,39 +612,22 @@ def _tally(stages: list[tuple[str, int, float]]) -> dict:
 
 @dataclass(frozen=True)
 class BatchedNttContext:
-    """Stacked twiddle tables running one butterfly stage across all limbs.
+    """One butterfly network running each stage across all limbs.
 
-    The tables are the row-stacked ``(num_limbs, n)`` copies of the
-    per-prime :class:`NttContext` tables, and ``forward`` / ``inverse``
-    transform a whole ``(num_limbs, n)`` residue matrix per call — the
-    software counterpart of the NTTU applying the same stage to every
-    RNS lane simultaneously.  Transforms dispatch to the radix-4
-    Stockham engine (:class:`_StockhamPlan`) when the base's moduli fit
-    its relaxed lazy bounds, else to the strict radix-2 path.  Outputs
-    are bit-identical to running the per-prime contexts row by row.
+    ``forward`` / ``inverse`` transform a whole ``(num_limbs, n)``
+    residue matrix per call — the software counterpart of the NTTU
+    applying the same stage to every RNS lane simultaneously.  Bases
+    inside :func:`stockham_gate` run the radix-4 Stockham plan; wider
+    bases (``plan is None``) run the per-prime contexts row by row.
+    Outputs are bit-identical either way.
     """
 
     moduli: ModulusVector
     n: int
-    psi_rev: np.ndarray            #: (num_limbs, n) forward twiddles
-    psi_rev_shoup: np.ndarray
-    psi_inv_rev: np.ndarray        #: (num_limbs, n) inverse twiddles
-    psi_inv_rev_shoup: np.ndarray
-    n_inv: np.ndarray              #: (num_limbs, 1)
-    n_inv_shoup: np.ndarray        #: (num_limbs, 1)
-    #: Last-stage inverse twiddle pre-multiplied by n^-1 (one column per
-    #: limb), so the final 1/n scaling folds into the last butterfly's
-    #: v-branch and only the u-branch needs a separate multiply.
-    psi_inv_last: np.ndarray       #: (num_limbs, 1, 1)
-    psi_inv_last_shoup: np.ndarray
-    #: Forward stages may skip the u-branch correction entirely when the
-    #: additively-growing residues — < (2*log2(n)+3) * m after the last
-    #: stage — provably stay below 2**64; one halving chain of
-    #: conditional subtractions then normalizes the whole matrix.
-    fwd_growth_ok: bool
+    contexts: tuple[NttContext, ...]
     #: Radix-4 Stockham schedule, or None when the moduli are too wide
-    #: for its relaxed lazy bounds (see :func:`stockham_gate`).
-    plan: "_StockhamPlan | None" = None
+    #: for its lazy bounds (see :func:`stockham_gate`).
+    plan: "_StockhamPlan | None"
 
     @classmethod
     def from_contexts(cls, contexts: tuple[NttContext, ...]
@@ -681,36 +638,9 @@ class BatchedNttContext:
         if any(c.n != n for c in contexts):
             raise ValueError("all limbs must share the same ring degree")
         moduli = ModulusVector([c.modulus for c in contexts])
-        psi_inv_last = np.array(
-            [[[(int(c.psi_inv_rev[1]) * int(c.n_inv)) % c.modulus.value]]
-             for c in contexts], dtype=np.uint64)
-        max_m = max(m.value for m in moduli.moduli)
-        # Prefer the backend-agnostic 4m plan; moduli too wide for it but
-        # inside the exact-variant 2m bounds get a needs_exact plan that
-        # runs only while the native backend is active (usable()).
-        plan = None
-        if n >= 2:
-            if stockham_gate(n, max_m):
-                plan = _StockhamPlan(contexts, moduli)
-            elif stockham_gate(n, max_m, lazy_mult=2):
-                plan = _StockhamPlan(contexts, moduli, lazy_mult=2)
-        return cls(
-            moduli=moduli,
-            n=n,
-            psi_rev=np.stack([c.psi_rev for c in contexts]),
-            psi_rev_shoup=np.stack([c.psi_rev_shoup for c in contexts]),
-            psi_inv_rev=np.stack([c.psi_inv_rev for c in contexts]),
-            psi_inv_rev_shoup=np.stack(
-                [c.psi_inv_rev_shoup for c in contexts]),
-            n_inv=np.array([[c.n_inv] for c in contexts], dtype=np.uint64),
-            n_inv_shoup=np.array([[c.n_inv_shoup] for c in contexts],
-                                 dtype=np.uint64),
-            psi_inv_last=psi_inv_last,
-            psi_inv_last_shoup=shoup_precompute(
-                psi_inv_last, moduli.expand(2)),
-            fwd_growth_ok=(2 * (n.bit_length() - 1) + 3) * max_m < (1 << 64),
-            plan=plan,
-        )
+        plan = (_StockhamPlan(contexts, moduli)
+                if stockham_gate(n, max(moduli.values)) else None)
+        return cls(moduli=moduli, n=n, contexts=tuple(contexts), plan=plan)
 
     @property
     def num_limbs(self) -> int:
@@ -722,139 +652,24 @@ class BatchedNttContext:
             raise ValueError(f"expected shape {expected}, got {a.shape}")
 
     def forward(self, a: np.ndarray) -> np.ndarray:
-        """Batched negacyclic NTT of a ``(num_limbs, n)`` matrix.
-
-        Dispatches to the radix-4 Stockham engine when the base's moduli
-        fit its lazy bounds, else to the strict radix-2 path.  Both are
-        bit-identical to the per-prime scalar contexts.
-        """
+        """Batched negacyclic NTT of a ``(num_limbs, n)`` matrix."""
         self._check_shape(a)
+        if self.plan is None:
+            return np.stack([c.forward(row)
+                             for c, row in zip(self.contexts, a)])
         if _obs_kernel._ENABLED:
             _obs_kernel.TALLY.ntt_forward += self.num_limbs
-        if self.plan is not None and self.plan.usable():
-            return self.plan.forward(a)
-        return self._forward_radix2(a)
+        return self.plan.forward(a)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """Batched inverse negacyclic NTT of a ``(num_limbs, n)`` matrix."""
         self._check_shape(a)
+        if self.plan is None:
+            return np.stack([c.inverse(row)
+                             for c, row in zip(self.contexts, a)])
         if _obs_kernel._ENABLED:
             _obs_kernel.TALLY.ntt_inverse += self.num_limbs
-        if self.plan is not None and self.plan.usable():
-            return self.plan.inverse(a)
-        return self._inverse_radix2(a)
-
-    def pass_counts(self) -> dict:
-        """Static per-stage dispatch / matrix-pass tallies of the engine."""
-        if self.plan is not None and self.plan.usable():
-            return self.plan.pass_counts
-        k = self.n.bit_length() - 1
-        # strict radix-2 path: per stage 2 gathers, ~15-dispatch exact
-        # Shoup ladder over the half matrix, 3 butterfly ops.
-        per_stage = 2 + 15 + 3
-        return {
-            "engine": "radix2-strict",
-            "forward": _tally([(f"radix2@{i}", per_stage, per_stage * 0.5)
-                               for i in range(k)]),
-            "inverse": _tally([(f"radix2@{i}", per_stage + 2,
-                                (per_stage + 2) * 0.5)
-                               for i in range(k)]),
-        }
-
-    def _forward_radix2(self, a: np.ndarray) -> np.ndarray:
-        """Strict radix-2 forward (the PR-1 engine, any moduli < 2**62).
-
-        Each stage gathers the butterfly halves into contiguous scratch,
-        runs the element-wise passes at full memory speed, and writes
-        the two results back — cheaper than letting every pass walk the
-        strided ``(limbs, blocks, 2, half)`` view.  Reduction is lazy
-        (Harvey): residues live in ``[0, 4m)`` between stages — the
-        u-branch is conditionally reduced by ``2m`` at stage entry, the
-        twiddle multiply tolerates any 64-bit input — and the matrix is
-        normalized to canonical residues once at the end.
-        """
-        a = np.array(a, dtype=np.uint64, copy=True)
-        limbs = self.num_limbs
-        m3 = self.moduli.expand(2)
-        two_m = m3.u64_x2
-        lazy_chain = self.fwd_growth_ok
-        blocks = 1
-        half = self.n // 2
-        while half >= 1:
-            view = a.reshape(limbs, blocks, 2, half)
-            shape = (limbs, blocks, half)
-            s = self.psi_rev[:, blocks:2 * blocks].reshape(limbs, blocks, 1)
-            s_sh = self.psi_rev_shoup[:, blocks:2 * blocks].reshape(
-                limbs, blocks, 1)
-            u = workspace_buffer("ntt.u", shape)
-            v = workspace_buffer("ntt.v", shape)
-            np.copyto(u, view[:, :, 0, :])
-            np.copyto(v, view[:, :, 1, :])
-            if not lazy_chain:
-                _correct_once(u, two_m)               # u < 2m
-            mul_mod_shoup_lazy(v, s, s_sh, m3, out=v)  # t < 2m, any v
-            np.add(u, v, out=view[:, :, 0, :])        # u + t
-            np.add(u, two_m, out=u)
-            np.subtract(u, v, out=view[:, :, 1, :])   # u - t + 2m
-            blocks *= 2
-            half //= 2
-        mv = self.moduli.u64
-        if lazy_chain:
-            # Residues grew additively (< (2*stages+3) * m); halve the
-            # bound with conditional subtractions until canonical.
-            stages = self.n.bit_length() - 1
-            mult = 1 << ((2 * stages + 2) // 2).bit_length()
-            while mult >= 1:
-                _correct_once(a, mv * np.uint64(mult))
-                mult //= 2
-        else:
-            _correct_once(a, two_m.reshape(limbs, 1))
-            _correct_once(a, mv)
-        return a
-
-    def _inverse_radix2(self, a: np.ndarray) -> np.ndarray:
-        """Strict radix-2 inverse (the PR-1 engine, any moduli < 2**62).
-
-        Same lazy-reduction scheme as :meth:`_forward_radix2`, with the
-        final 1/n scaling folded into the last butterfly stage; residues
-        stay in ``[0, 2m)`` between stages and are normalized once at
-        the end.
-        """
-        a = np.array(a, dtype=np.uint64, copy=True)
-        limbs = self.num_limbs
-        m3 = self.moduli.expand(2)
-        two_m = m3.u64_x2
-        blocks = self.n // 2
-        half = 1
-        while blocks >= 1:
-            view = a.reshape(limbs, blocks, 2, half)
-            shape = (limbs, blocks, half)
-            u = workspace_buffer("ntt.u", shape)
-            v = workspace_buffer("ntt.v", shape)
-            np.copyto(u, view[:, :, 0, :])
-            np.copyto(v, view[:, :, 1, :])
-            w = np.add(u, v, out=workspace_buffer("ntt.w", shape))
-            _correct_once(w, two_m)                   # u + v < 2m
-            np.add(u, two_m, out=u)
-            t = np.subtract(u, v, out=u)              # u - v + 2m < 4m
-            if blocks == 1:
-                # Fold the final 1/n scaling into the last butterfly.
-                mul_mod_shoup_lazy(w, self.n_inv[:, :, None],
-                                   self.n_inv_shoup[:, :, None], m3, out=w)
-                mul_mod_shoup_lazy(t, self.psi_inv_last,
-                                   self.psi_inv_last_shoup, m3, out=t)
-            else:
-                s = self.psi_inv_rev[:, blocks:2 * blocks].reshape(
-                    limbs, blocks, 1)
-                s_sh = self.psi_inv_rev_shoup[:, blocks:2 * blocks].reshape(
-                    limbs, blocks, 1)
-                mul_mod_shoup_lazy(t, s, s_sh, m3, out=t)
-            np.copyto(view[:, :, 0, :], w)
-            np.copyto(view[:, :, 1, :], t)
-            blocks //= 2
-            half *= 2
-        _correct_once(a, self.moduli.u64)
-        return a
+        return self.plan.inverse(a)
 
 
 #: Cache of stacked-table contexts keyed by the exact (q, psi) chain + n.

@@ -37,6 +37,11 @@ from repro.ckks.primes import ntt_friendly_primes
 WORD_BYTES = 8
 MEBI = float(1 << 20)
 
+#: Widest prime a bit-width field may ask for.  Prime search alternates
+#: above and below ``2**bits``, so any width from 62 up can yield a prime
+#: past the ``2**62`` word limit of :class:`~repro.ckks.modmath.Modulus`.
+MAX_PRIME_BITS = 61
+
 
 @dataclass(frozen=True)
 class CkksParams:
@@ -67,6 +72,10 @@ class CkksParams:
                 f"dnum must be in [1, L+1]=[1,{self.l + 1}], got {self.dnum}")
         if self.h < 0 or self.h > self.n:
             raise ValueError(f"invalid Hamming weight {self.h}")
+        for name in ("scale_bits", "q0_bits", "p_bits"):
+            if getattr(self, name) > MAX_PRIME_BITS:
+                raise ValueError(f"{name} must be <= {MAX_PRIME_BITS}, "
+                                 f"got {getattr(self, name)}")
 
     # ----- derived counts ---------------------------------------------------
 

@@ -35,6 +35,7 @@ from repro.ckks.rns import (
     base_convert,
     base_modulus_vector,
 )
+from repro.obs import kernel as obs_kernel
 
 #: Deliberately mixed-width moduli (one per row) to exercise broadcasting.
 MIXED_MODULI = [17, 257, (1 << 30) + 3, (1 << 45) + 59, (1 << 59) + 55,
@@ -58,12 +59,6 @@ class TestModulusVector:
         assert mixed_mv.u64.shape == (L, 1)
         assert mixed_mv.mu_hi.shape == (L, 1)
         assert mixed_mv.mu_lo.shape == (L, 1)
-
-    def test_expand_is_cached_view(self, mixed_mv):
-        e = mixed_mv.expand(2)
-        assert e.u64.shape == (len(MIXED_MODULI), 1, 1)
-        assert mixed_mv.expand(2) is e
-        assert mixed_mv.expand(1) is mixed_mv
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -197,6 +192,54 @@ class TestBatchedNtt:
         batched = batched_ntt_context((NttContext.create(q, n),))
         with pytest.raises(ValueError):
             batched.forward(np.zeros((2, n), dtype=np.uint64))
+
+
+class TestWideBaseOracleRoute:
+    """Bases outside the 4m Stockham gate run the per-prime oracle."""
+
+    N = 256
+
+    @pytest.fixture()
+    def wide(self):
+        primes = ntt_friendly_primes(60, 2, self.N)
+        return batched_ntt_context(
+            tuple(NttContext.create(q, self.N) for q in primes))
+
+    def test_no_plan(self, wide):
+        assert wide.plan is None
+
+    def test_bit_identical_to_per_limb_and_roundtrips(self, wide,
+                                                      each_backend):
+        rng = np.random.default_rng(60)
+        a = np.stack([rng.integers(0, c.modulus.value, size=self.N,
+                                   dtype=np.uint64) for c in wide.contexts])
+        fwd = wide.forward(a)
+        assert np.array_equal(fwd, np.stack(
+            [c.forward(row) for c, row in zip(wide.contexts, a)]))
+        inv = wide.inverse(fwd)
+        assert np.array_equal(inv, np.stack(
+            [c.inverse(row) for c, row in zip(wide.contexts, fwd)]))
+        assert np.array_equal(inv, a)
+
+    def test_forward_tallies_one_pass_per_limb(self, wide, each_backend,
+                                               monkeypatch):
+        monkeypatch.setattr(obs_kernel, "_ENABLED", True)
+        before = obs_kernel.snapshot()
+        wide.forward(np.zeros((wide.num_limbs, self.N), dtype=np.uint64))
+        delta = obs_kernel.delta(before)
+        assert delta["ntt_forward"] == wide.num_limbs
+        assert delta["ntt_inverse"] == 0
+
+
+@pytest.mark.parametrize("params", [
+    CkksParams.functional(),
+    CkksParams.functional(n=1 << 9, l=14, dnum=3, q0_bits=52, p_bits=52),
+    CkksParams.functional(n=1 << 11, l=10, dnum=2, q0_bits=52, p_bits=52),
+], ids=["functional-default", "bootstrap", "serving"])
+def test_shipped_bases_get_a_stockham_plan(params):
+    """No shipped configuration takes the per-limb oracle route."""
+    ring = RingContext(params)
+    assert ring.batched_ntt(ring.base_qp(params.l)).plan is not None
 
 
 @pytest.fixture(scope="module")

@@ -73,17 +73,19 @@ def _assert_identical(ref, got):
 
 @needs_native
 class TestPrimitiveBitIdentity:
+    #: (3, L, 64) operands broadcast against the (L, 1) modulus columns,
+    #: so the native N-d stride walker sees a leading batch axis.
+    SHAPE = (3, len(_WIDTHS), 64)
+
     @pytest.fixture()
     def mv(self):
-        return ModulusVector([Modulus(q) for q in _WIDTHS],
-                             trailing_dims=2)
+        return ModulusVector([Modulus(q) for q in _WIDTHS])
 
     @pytest.fixture()
     def planes(self, rng, mv):
-        shape = (len(_WIDTHS), 3, 64)
         q = mv.u64
-        a = rng.integers(0, 1 << 63, size=shape).astype(np.uint64) % q
-        b = rng.integers(0, 1 << 63, size=shape).astype(np.uint64) % q
+        a = rng.integers(0, 1 << 63, size=self.SHAPE).astype(np.uint64) % q
+        b = rng.integers(0, 1 << 63, size=self.SHAPE).astype(np.uint64) % q
         return a, b
 
     def test_mulhi64_and_mul128(self, rng):
@@ -97,14 +99,14 @@ class TestPrimitiveBitIdentity:
         _assert_identical(*_under_both(lambda: mul_mod(a, b, mv)))
 
     def test_barrett_reduce128_full_words(self, rng, mv):
-        shape = (len(_WIDTHS), 3, 64)
-        hi = rng.integers(0, 1 << 63, size=shape, dtype=np.uint64)
-        lo = rng.integers(0, 1 << 63, size=shape, dtype=np.uint64)
+        hi = rng.integers(0, 1 << 63, size=self.SHAPE, dtype=np.uint64)
+        lo = rng.integers(0, 1 << 63, size=self.SHAPE, dtype=np.uint64)
         _assert_identical(
             *_under_both(lambda: barrett_reduce128(hi, lo, mv)))
 
     def test_shoup_canonical_and_lazy(self, mv, planes):
-        a, w = planes
+        a, b = planes
+        w = b[0]                       # Shoup constants on an (L, 64) plane
         ws = shoup_precompute(w, mv)
         _assert_identical(
             *_under_both(lambda: mul_mod_shoup(a, w, ws, mv)))

@@ -5,12 +5,12 @@ it is locked down three ways:
 
 * hypothesis-driven bit-identity against the scalar ``NttContext``
   oracle across random ring degrees (odd and even ``log2(N)``), limb
-  counts and modulus widths — including widths that force the strict
-  radix-2 fallback;
+  counts and modulus widths;
 * convolution correctness against the O(N^2) schoolbook reference;
-* structural checks: engine selection by :func:`stockham_gate`,
-  ping-pong buffers never mutating the input, and the static pass-count
-  report the benchmarks record.
+* structural checks: the ``4m`` :func:`stockham_gate` flipping exactly
+  at its integer threshold (bases past it get no plan and run the
+  per-limb oracle), ping-pong buffers never mutating the input, and the
+  static pass-count report the benchmarks record.
 """
 
 import numpy as np
@@ -20,12 +20,7 @@ from hypothesis import strategies as st
 
 pytestmark = pytest.mark.slow  # hypothesis differential sweep runs nightly
 
-from repro.ckks.modmath import (
-    active_backend,
-    available_backends,
-    mul_mod,
-    set_backend,
-)
+from repro.ckks.modmath import mul_mod
 from repro.ckks.ntt import (
     BatchedNttContext,
     NttContext,
@@ -102,8 +97,8 @@ class TestDifferentialVsScalarOracle:
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
-    def test_strict_fallback_matches_oracle(self, seed):
-        """60-bit moduli exceed the 4m bounds and take the strict path."""
+    def test_wide_base_falls_back_to_oracle(self, seed):
+        """60-bit moduli exceed the 4m bounds and run the per-limb oracle."""
         n = 256
         primes = ntt_friendly_primes(60, 2, n)
         ctxs = tuple(NttContext.create(q, n) for q in primes)
@@ -174,34 +169,12 @@ class TestEngineStructure:
 
     def test_pass_counts_report(self):
         ctxs = _contexts(1 << 11, 50, 2)
-        report = batched_ntt_context(ctxs).pass_counts()
+        report = batched_ntt_context(ctxs).plan.pass_counts
         assert report["engine"] == "stockham-r4"
         for direction in ("forward", "inverse"):
             assert report[direction]["dispatches"] > 0
             assert report[direction]["matrix_passes"] > 0
             assert report[direction]["per_stage"]
-        # 60-bit moduli at n=64 overflow the backend-agnostic 4m bounds
-        # but fit the exact-variant 2m bounds: the engine of record is
-        # the needs_exact Stockham plan while the native backend is
-        # active, and the strict radix-2 fallback otherwise.
-        wide = batched_ntt_context(
-            tuple(NttContext.create(q, 64)
-                  for q in ntt_friendly_primes(60, 1, 64))).pass_counts()
-        if active_backend() == "native":
-            assert wide["engine"] == "stockham-r4-exact"
-        else:
-            assert wide["engine"] == "radix2-strict"
-
-    def test_radix4_halves_stage_dispatches(self):
-        """The fused engine must dispatch fewer kernels than radix-2."""
-        ctxs = _contexts(1 << 10, 50, 2)   # even log2: purely radix-4
-        report = batched_ntt_context(ctxs).pass_counts()
-        strict = batched_ntt_context(
-            tuple(NttContext.create(q, 1 << 10)
-                  for q in ntt_friendly_primes(60, 2, 1 << 10))
-        ).pass_counts()
-        assert (report["forward"]["dispatches"]
-                < strict["forward"]["dispatches"])
 
     def test_empty_context_tuple_rejected(self):
         with pytest.raises(ValueError):
@@ -231,29 +204,31 @@ class TestStockhamGateBoundary:
     The bounds are strict (``< 2**64``) and the cutoffs land at 59-62
     bit moduli; these tests hold the gate to the exact integer
     threshold and prove, differentially against the scalar oracle, that
-    the engine swap at the edge never changes a single output bit.
+    the switch to the per-limb route at the edge never changes a single
+    output bit.  ``mult`` is the lazy-bound multiple of ``m`` the
+    thresholds are derived for (the ``4m`` gate).
     """
 
     @pytest.mark.parametrize("n", [4, 64, 1 << 11, 1 << 12])
-    @pytest.mark.parametrize("mult", [2, 4])
+    @pytest.mark.parametrize("mult", [4])
     def test_gate_flips_exactly_at_threshold(self, n, mult):
         k = n.bit_length() - 1
         limit = (1 << 64) - 1
         # Largest m satisfying both strict bounds; +1 must be rejected.
         threshold = min(limit // (mult * k + 1), limit // (2 * mult))
         assert 59 <= threshold.bit_length() <= 62
-        assert stockham_gate(n, threshold, mult)
-        assert not stockham_gate(n, threshold + 1, mult)
+        assert stockham_gate(n, threshold)
+        assert not stockham_gate(n, threshold + 1)
 
-    @pytest.mark.parametrize("mult", [2, 4])
+    @pytest.mark.parametrize("mult", [4])
     def test_real_primes_straddle_the_gate(self, mult):
         n = 1 << 11
         k = n.bit_length() - 1
         limit = (1 << 64) - 1
         threshold = min(limit // (mult * k + 1), limit // (2 * mult))
         admissible, inadmissible = _edge_prime_pair(n, threshold)
-        assert stockham_gate(n, admissible, mult)
-        assert not stockham_gate(n, inadmissible, mult)
+        assert stockham_gate(n, admissible)
+        assert not stockham_gate(n, inadmissible)
 
     def _roundtrip_vs_oracle(self, ctxs, rng):
         """Batched forward+inverse must match the per-limb scalar oracle."""
@@ -272,57 +247,18 @@ class TestStockhamGateBoundary:
     def test_engine_selection_and_bit_identity_at_both_edges(self):
         """The largest admissible / smallest inadmissible widths, live.
 
-        Four bases pinned at the real prime edges of both regimes
-        (~2^58.5 for the 4m gate, ~2^59.5 for the exact 2m gate at
-        n=2^11): the engine each base selects must flip exactly at the
-        edge, and every one of them must reproduce the scalar oracle
-        bit for bit.
+        Two bases pinned at the real prime edge of the 4m gate (~2^58.5
+        at n=2^11): the one inside gets a Stockham plan, the one past
+        it runs the per-limb oracle, and both reproduce the scalar
+        oracle bit for bit.
         """
         n = 1 << 11
         k = n.bit_length() - 1
-        limit = (1 << 64) - 1
-        t4 = limit // (4 * k + 1)
-        t2 = limit // (2 * k + 1)
-        adm4, inadm4 = _edge_prime_pair(n, t4)
-        adm2, inadm2 = _edge_prime_pair(n, t2)
+        adm, inadm = _edge_prime_pair(n, ((1 << 64) - 1) // (4 * k + 1))
         rng = np.random.default_rng(0xB75)
-        # just inside the 4m gate: backend-agnostic radix-4 plan
-        batched = self._roundtrip_vs_oracle((NttContext.create(adm4, n),),
+        batched = self._roundtrip_vs_oracle((NttContext.create(adm, n),),
                                             rng)
-        assert batched.plan is not None and not batched.plan.needs_exact
-        # just above the 4m gate but inside 2m: needs_exact plan
-        batched = self._roundtrip_vs_oracle((NttContext.create(inadm4, n),),
-                                            rng)
-        assert batched.plan is not None and batched.plan.needs_exact
-        # just inside the 2m gate: still the needs_exact plan
-        batched = self._roundtrip_vs_oracle((NttContext.create(adm2, n),),
-                                            rng)
-        assert batched.plan is not None and batched.plan.needs_exact
-        # just above the 2m gate: no plan at all, strict radix-2 only
-        batched = self._roundtrip_vs_oracle((NttContext.create(inadm2, n),),
+        assert batched.plan is not None
+        batched = self._roundtrip_vs_oracle((NttContext.create(inadm, n),),
                                             rng)
         assert batched.plan is None
-
-    def test_needs_exact_plan_runs_only_under_native(self):
-        """A needs_exact plan must engage iff the native backend is on —
-        and both engines must agree with the oracle bit for bit."""
-        n = 1 << 11
-        k = n.bit_length() - 1
-        _, inadm4 = _edge_prime_pair(n, ((1 << 64) - 1) // (4 * k + 1))
-        ctxs = (NttContext.create(inadm4, n),)
-        batched = batched_ntt_context(ctxs)
-        assert batched.plan is not None and batched.plan.needs_exact
-        rng = np.random.default_rng(0xEDDE)
-        try:
-            set_backend("numpy")
-            assert not batched.plan.usable()
-            assert batched.pass_counts()["engine"] == "radix2-strict"
-            self._roundtrip_vs_oracle(ctxs, rng)
-            if "native" in available_backends():
-                set_backend("native")
-                assert batched.plan.usable()
-                assert (batched.pass_counts()["engine"]
-                        == "stockham-r4-exact")
-                self._roundtrip_vs_oracle(ctxs, rng)
-        finally:
-            set_backend(None)

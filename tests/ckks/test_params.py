@@ -24,6 +24,19 @@ class TestCkksParamsValidation:
         with pytest.raises(ValueError):
             CkksParams(n=256, l=4, dnum=2, h=512)
 
+    @pytest.mark.parametrize("field", ["scale_bits", "q0_bits", "p_bits"])
+    @pytest.mark.parametrize("bits", [62, 63])
+    def test_rejects_prime_widths_past_the_word_limit(self, field, bits):
+        # prime search alternates around 2**bits, so 62+ can overshoot
+        # the 2**62 modulus limit and crash ring construction later
+        with pytest.raises(ValueError, match=field):
+            CkksParams(n=256, l=3, dnum=1, **{field: bits})
+
+    def test_61_bit_primes_build_a_ring(self):
+        params = CkksParams(n=256, l=2, dnum=1, scale_bits=61, q0_bits=61,
+                            p_bits=61)
+        assert all(p.value < 1 << 62 for p in RingContext(params).base_qp(2))
+
 
 class TestDerivedQuantities:
     def test_k_is_ceil(self):

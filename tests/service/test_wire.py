@@ -221,6 +221,14 @@ class TestRejection:
         with pytest.raises(WireError, match="expected a CIPHERTEXT"):
             wire.deserialize_ciphertext(pt_blob, small_ring)
 
+    @pytest.mark.parametrize("field", ["scale_bits", "q0_bits", "p_bits"])
+    def test_params_wider_than_a_word_rejected(self, field):
+        # forge a self-consistent blob the constructor would refuse
+        wide = CkksParams(n=256, l=3, dnum=1)
+        object.__setattr__(wide, field, 62)
+        with pytest.raises(WireError, match="invalid parameter set"):
+            wire.deserialize_params(wire.serialize_params(wide))
+
     def test_params_digest_mismatch_rejected(self, small_ring, blob):
         other = CkksParams.functional(n=1 << 8, l=6, dnum=2,
                                       scale_bits=41, q0_bits=50,
