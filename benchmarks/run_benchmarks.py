@@ -23,6 +23,7 @@ on CI runners.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
 import statistics
@@ -171,8 +172,8 @@ def bench_rotation_batch(ev, ct, reps: int) -> dict[str, tuple[float, int]]:
     ciphertexts, so the ratios are pure scheduling wins — the kernels
     that gate the CoeffToSlot/SlotToCoeff baby-step path.
     ``rotation_batch_fused`` runs the same amounts as one
-    ``rotate_reduce`` gather-accumulate (``fusion_moddown="single"``):
-    the whole sum pays a single ModDown, so its pairing against
+    ``rotate_reduce`` gather-accumulate: the whole sum pays a single
+    ModDown pair, so its pairing against
     ``rotation_batch_ntt_domain`` — measured back to back in this
     process — is the optimizer's A/B evidence.
     """
@@ -342,9 +343,12 @@ def bench_precision_calibration(ring, kg, ev, smoke: bool) -> dict:
     scale = 2.0 ** ring.params.scale_bits
     n_slots = 16
 
-    def run_and_probe(prefix: str, prog: Program,
-                      inputs: dict, references: dict) -> None:
-        plan = plan_program(prog, PlannerConfig.from_ring(ring))
+    def run_and_probe(prefix: str, prog: Program, inputs: dict,
+                      references: dict, fuse: bool = False) -> None:
+        plan = plan_program(prog, dataclasses.replace(
+            PlannerConfig.from_ring(ring), fuse_rotate_reduce=fuse))
+        if fuse and not plan.fusions:
+            raise AssertionError(f"{prefix}: the probe planned no fusion")
         kg.ensure_rotation_keys(ev, plan.required_rotations())
         cts = {name: kg.encrypt_symmetric(
                    enc.encode(np.asarray(vec, dtype=np.complex128),
@@ -379,7 +383,7 @@ def bench_precision_calibration(ring, kg, ev, smoke: bool) -> dict:
     for amount in amounts:
         ref = ref + np.roll(vec, -amount) * 0.25
     run_and_probe("fused_rotate_reduce", stencil, {"x": vec},
-                  {"out": ref})
+                  {"out": ref}, fuse=True)
 
     if not smoke:
         from repro.ckks.bootstrap import BootstrapConfig, Bootstrapper

@@ -14,10 +14,18 @@ Complex scalars encode a replicated message and take the PMult/PAdd
 path.  HRescale runs one stacked inverse transform over both halves'
 dropped limbs and one stacked forward transform over both exact
 transfers, then subtracts and scales by ``q_level^-1``.
+
+The lazy key-switch accumulator (:meth:`Evaluator.lazy_galois`,
+:meth:`Evaluator.lazy_sums`) keeps galois images P-scaled over
+``C_level + B`` and ModDowns each weighted sum once; its two callers are
+:meth:`Evaluator.rotate_reduce` (one sum) and the double-hoisted BSGS of
+:class:`~repro.ckks.linear_transform.LinearTransform` (one sum per giant
+step).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +33,15 @@ import numpy as np
 from repro.ckks.cipher import Ciphertext, Plaintext
 from repro.ckks.encoder import Encoder
 from repro.ckks.keys import EvaluationKey, SecretKey
-from repro.ckks.keyswitch import key_switch
+from repro.ckks.keyswitch import (
+    galois_raised,
+    key_switch,
+    key_switch_accumulate,
+    key_switch_raised,
+    mod_down_many,
+    p_scaled_extension,
+    raise_decomposition,
+)
 from repro.ckks.modmath import add_mod
 from repro.ckks.params import RingContext
 from repro.ckks.rns import (
@@ -247,10 +263,19 @@ class Evaluator:
 
     # ----- rotations ----------------------------------------------------------------
 
+    def _galois_key(self, amount: int | None) -> tuple[int, EvaluationKey]:
+        """(galois element, evk) of a rotation amount (``None``: HConj)."""
+        if amount is None:
+            if self.conjugation_key is None:
+                raise ValueError("conjugation key not available")
+            return 2 * self.ring.n - 1, self.conjugation_key
+        evk = self.rotation_keys.get(amount)
+        if evk is None:
+            raise ValueError(f"no rotation key for amount {amount}")
+        return pow(5, amount, 2 * self.ring.n), evk
+
     def _apply_galois(self, ct: Ciphertext, galois_elt: int,
                       evk: EvaluationKey) -> Ciphertext:
-        from repro.ckks.keyswitch import raise_decomposition
-
         raised = raise_decomposition(ct.a, ct.level, self.ring)
         return self._galois_from_raised(ct, raised, galois_elt, evk)
 
@@ -269,8 +294,6 @@ class Evaluator:
         whether ``raised`` is shared or recomputed, and it is a
         deterministic function of ``ct.a``.
         """
-        from repro.ckks.keyswitch import galois_raised, key_switch_raised
-
         rotated = galois_raised(raised, galois_elt)
         ks_b, ks_a = key_switch_raised(rotated, evk, ct.level, self.ring)
         b_rot = ct.b.galois(galois_elt)  # NTT-domain gather
@@ -283,11 +306,7 @@ class Evaluator:
         amount = amount % ct.n_slots
         if amount == 0:
             return ct.clone()
-        if amount not in self.rotation_keys:
-            raise ValueError(f"no rotation key for amount {amount}")
-        galois_elt = pow(5, amount, 2 * self.ring.n)
-        return self._apply_galois(ct, galois_elt,
-                                  self.rotation_keys[amount])
+        return self._apply_galois(ct, *self._galois_key(amount))
 
     def galois_hoisted(self, ct: Ciphertext, amounts: list[int],
                        conjugate: bool = False
@@ -308,27 +327,17 @@ class Evaluator:
         ``conjugated`` is the HConj result (``None`` unless
         ``conjugate=True``).
         """
-        from repro.ckks.keyswitch import raise_decomposition
-
-        unique = sorted({a % ct.n_slots for a in amounts})
         out: dict[int, Ciphertext] = {}
-        pending = []
-        for amount in unique:
+        jobs = []
+        for amount in sorted({a % ct.n_slots for a in amounts}):
             if amount == 0:
                 out[0] = ct.clone()
-            elif amount not in self.rotation_keys:
-                raise ValueError(f"no rotation key for amount {amount}")
             else:
-                pending.append(amount)
-        if conjugate and self.conjugation_key is None:
-            raise ValueError("conjugation key not available")
-        if not pending and not conjugate:
-            return out, None
-        jobs = [(pow(5, amount, 2 * self.ring.n),
-                 self.rotation_keys[amount], amount)
-                for amount in pending]
+                jobs.append((*self._galois_key(amount), amount))
         if conjugate:
-            jobs.append((2 * self.ring.n - 1, self.conjugation_key, None))
+            jobs.append((*self._galois_key(None), None))
+        if not jobs:
+            return out, None
         raised = raise_decomposition(ct.a, ct.level, self.ring)
         conjugated: Ciphertext | None = None
         for galois_elt, evk, amount in jobs:
@@ -351,92 +360,97 @@ class Evaluator:
 
     def conjugate(self, ct: Ciphertext) -> Ciphertext:
         """HConj: complex-conjugate every slot (galois element 2N-1)."""
-        if self.conjugation_key is None:
-            raise ValueError("conjugation key not available")
-        return self._apply_galois(ct, 2 * self.ring.n - 1,
-                                  self.conjugation_key)
+        return self._apply_galois(ct, *self._galois_key(None))
 
-    # ----- fused rotate-reduce -------------------------------------------------
+    # ----- lazy key-switch accumulator --------------------------------------
 
-    def _reduce_galois_elt(self, amount: int | None
-                           ) -> tuple[int, EvaluationKey]:
-        """(galois element, evk) for one non-identity ReduceTerm."""
-        if amount is None:
-            if self.conjugation_key is None:
-                raise ValueError("conjugation key not available")
-            return 2 * self.ring.n - 1, self.conjugation_key
-        evk = self.rotation_keys.get(amount)
-        if evk is None:
-            raise ValueError(f"no rotation key for amount {amount}")
-        return pow(5, amount, 2 * self.ring.n), evk
+    def lazy_galois(self, ct: Ciphertext, amounts) -> dict:
+        """P-scaled galois images of ``ct`` over ``C_level + B``, no ModDown.
 
-    def rotate_reduce(self, ct: Ciphertext, terms: list[ReduceTerm],
-                      mode: str = "single") -> Ciphertext:
-        """``sum_i sign_i * weight_i * galois_i(ct)`` from one raise.
+        Maps each amount (``0``: the identity, ``None``: conjugation) to
+        a pair ``(P*phi(b) - ks_b, ks_a)`` — the key-switch accumulators
+        of :func:`~repro.ckks.keyswitch.key_switch_accumulate` before
+        ModDown — or ``(P*b, -P*a)`` for the identity.  Every pair
+        stores ``(b, -a)`` of its image scaled by ``P``, so pairs mix
+        linearly and :meth:`lazy_sums` lowers each sum once.  One
+        NTT-domain raise of ``ct.a`` serves every galois amount, and
+        none runs when all amounts are ``0``.
+        """
+        ring = self.ring
+        level = ct.level
+        unique = list(dict.fromkeys(amounts))
+        keys = {amount: self._galois_key(amount)
+                for amount in unique if amount != 0}
+        raised = raise_decomposition(ct.a, level, ring) if keys else None
+        pairs = {}
+        for amount in unique:
+            if amount == 0:
+                # ModDown recovers P*x exactly: its special rows are zero.
+                pairs[0] = (p_scaled_extension(ct.b, level, ring),
+                            p_scaled_extension(ct.a, level, ring).neg())
+                continue
+            galois_elt, evk = keys[amount]
+            ks_b, ks_a = key_switch_accumulate(
+                galois_raised(raised, galois_elt), evk, level, ring)
+            b_qp = p_scaled_extension(ct.b.galois(galois_elt), level, ring)
+            pairs[amount] = (b_qp.sub(ks_b), ks_a)
+        return pairs
 
-        The whole rotate-reduce tree shares a single NTT-domain raise of
-        ``ct.a``; each non-identity term is an evaluation-point gather
-        plus an evk inner product (:func:`~repro.ckks.keyswitch
-        .key_switch_accumulate`).  What happens to the accumulators
-        depends on ``mode``:
+    def lazy_sums(self, ct: Ciphertext, pairs: dict, groups,
+                  scale: float) -> list[Ciphertext]:
+        """One ciphertext per group: ``sum sign * weigh(pairs[amount])``.
 
-        * ``"stacked"`` — every member's ``(b, a)`` accumulator pair
-          rides one :func:`~repro.ckks.keyswitch.mod_down_many`
-          dispatch, members materialize fully, weights/signs/additions
-          apply in ``C_level``.  **Bit-identical** to executing the tree
-          as discrete rotate/weight/add ops (the ModDown count is
-          unchanged — this mode fuses dispatches, not arithmetic).
-        * ``"single"`` (default) — the double-hoisting trick of
-          :meth:`~repro.ckks.linear_transform.LinearTransform.apply`
-          generalized: weighted accumulation happens in the P-scaled
-          extended base ``C_level + B`` and the whole tree pays **one**
-          ModDown (one :func:`~repro.ckks.keyswitch.mod_down_pair`).
-          Identity terms stay exact in ``C_level`` (no extension
-          round-trip); only the key-switch halves share the fused
-          ModDown, so the BConv approximation enters once per tree
-          instead of once per member — noise-level rounding shifts
-          exactly like the PR-4 double-hoisted BSGS, which is why this
-          mode is tolerance-tested rather than bit-identity-tested.
+        Each group is a list of ``(amount, sign, weigh)`` with ``weigh``
+        a multiplier over ``C_level + B`` (or ``None``).  Every group's
+        two halves ride one :func:`~repro.ckks.keyswitch.mod_down_many`
+        call — bit-identical to one ModDown pair per group — so the BConv
+        rounding enters once per group rather than once per term.  The
+        outputs carry ``scale`` (the caller's weighted scale).
+        """
+        halves = []
+        for group in groups:
+            acc_b = acc_a = None
+            for amount, sign, weigh in group:
+                b, a = pairs[amount]
+                if weigh is not None:
+                    b, a = weigh(b), weigh(a)
+                if acc_b is None:
+                    acc_b, acc_a = (b, a) if sign > 0 else (b.neg(), a.neg())
+                elif sign > 0:
+                    acc_b, acc_a = acc_b.add(b), acc_a.add(a)
+                else:
+                    acc_b, acc_a = acc_b.sub(b), acc_a.sub(a)
+            halves += (acc_b, acc_a)
+        lowered = mod_down_many(halves, ct.level, self.ring)
+        return [Ciphertext(b, a.neg(), scale, ct.n_slots)
+                for b, a in zip(lowered[::2], lowered[1::2])]
+
+    def rotate_reduce(self, ct: Ciphertext,
+                      terms: Sequence[ReduceTerm]) -> Ciphertext:
+        """``sum_i sign_i * weight_i * galois_i(ct)`` with one ModDown pair.
+
+        One group of the lazy accumulator (:meth:`lazy_galois`,
+        :meth:`lazy_sums`): a single raise of ``ct.a``, weights applied
+        over ``C_level + B``, and one ModDown for the whole tree.  The
+        double-hoisted BSGS of
+        :meth:`~repro.ckks.linear_transform.LinearTransform.apply` runs
+        the same accumulator with one group per giant step.  Outputs
+        differ from the unfused tree by the BConv rounding of a shared
+        ModDown, so the tree is tolerance-tested, not bit-identical.
 
         Every term's output scale must match (the planner guarantees
         this for fused trees); the result carries the first term's.
         """
-        from repro.ckks.keyswitch import (
-            galois_raised,
-            key_switch_accumulate,
-            mod_down_many,
-            mod_down_pair,
-            raise_decomposition,
-        )
-
-        if mode not in ("single", "stacked"):
-            raise ValueError(f"unknown rotate_reduce mode {mode!r}")
         if not terms:
             raise ValueError("rotate_reduce needs at least one term")
-        ring = self.ring
         level = ct.level
-        galois_terms = [t for t in terms if t.amount != 0]
-        raised = (raise_decomposition(ct.a, level, ring)
-                  if galois_terms else None)
-
-        if mode == "stacked":
-            return self._rotate_reduce_stacked(ct, terms, raised)
-
-        base_q = ring.base_q(level)
-        base_qp = ring.base_qp(level)
-        b_acc = a_acc = None          # exact accumulators over C_level
-        ks_b_acc = ks_a_acc = None    # P-scaled accumulators, C_level + B
+        base_qp = self.ring.base_qp(level)
         out_scale = None
-
-        def accumulate(acc, poly, sign):
-            if sign < 0:
-                poly = poly.neg()
-            return poly if acc is None else acc.add(poly)
-
+        group = []
         for term in terms:
             scale = term.weight_scale
             if term.weight is not None and scale is None:
-                scale = float(ring.q_primes[level].value)
+                scale = float(self.ring.q_primes[level].value)
             term_scale = ct.scale * (scale if term.weight is not None
                                      else 1.0)
             if out_scale is None:
@@ -445,41 +459,17 @@ class Evaluator:
                 raise ValueError(
                     f"rotate_reduce term scales diverge: {term_scale:.6g}"
                     f" vs {out_scale:.6g}")
-            weigh_q = weigh_qp = None
-            if term.weight is not None:
-                weigh_q, weigh_qp = self._weight_multipliers(
-                    term.weight, scale, base_q, base_qp)
-            if term.amount == 0:
-                b_part, a_part = ct.b, ct.a
-                if weigh_q is not None:
-                    b_part, a_part = weigh_q(b_part), weigh_q(a_part)
-                b_acc = accumulate(b_acc, b_part, term.sign)
-                a_acc = accumulate(a_acc, a_part, term.sign)
-                continue
-            galois_elt, evk = self._reduce_galois_elt(term.amount)
-            ks_b, ks_a = key_switch_accumulate(
-                galois_raised(raised, galois_elt), evk, level, ring)
-            b_rot = ct.b.galois(galois_elt)
-            if weigh_q is not None:
-                b_rot = weigh_q(b_rot)
-                ks_b, ks_a = weigh_qp(ks_b), weigh_qp(ks_a)
-            b_acc = accumulate(b_acc, b_rot, term.sign)
-            ks_b_acc = accumulate(ks_b_acc, ks_b, term.sign)
-            ks_a_acc = accumulate(ks_a_acc, ks_a, term.sign)
-        if ks_b_acc is not None:
-            ks_b_md, ks_a_md = mod_down_pair(ks_b_acc, ks_a_acc, level,
-                                             ring)
-            b_acc = ks_b_md.neg() if b_acc is None else b_acc.sub(ks_b_md)
-            a_acc = ks_a_md.neg() if a_acc is None else a_acc.sub(ks_a_md)
-        return Ciphertext(b_acc, a_acc, out_scale, ct.n_slots)
+            weigh = (None if term.weight is None else
+                     self._weight_multiplier(term.weight, scale, base_qp))
+            group.append((term.amount, term.sign, weigh))
+        pairs = self.lazy_galois(ct, [term.amount for term in terms])
+        return self.lazy_sums(ct, pairs, [group], out_scale)[0]
 
-    def _weight_multipliers(self, weight, scale: float, base_q, base_qp):
-        """``(times_q, times_qp)``: multiply by ``weight`` over each base.
+    def _weight_multiplier(self, weight, scale: float, base_qp):
+        """Multiply by ``weight`` encoded at ``scale`` over ``C_level + B``.
 
-        The q-prime rows of a ``C_level + B`` encoding are exactly the
-        ``C_level`` encoding (same rounded integers), so one encoding
-        serves both halves.  A real scalar is a residue column; a slot
-        vector or complex scalar is an encoded polynomial.
+        A real scalar is a residue column; a slot vector or complex
+        scalar is an encoded polynomial.
         """
         if isinstance(weight, np.ndarray):
             weight_qp = self.encoder.encode(
@@ -489,75 +479,10 @@ class Evaluator:
             weight = complex(weight)
             columns = self.encoder.scalar_columns(weight, scale, base_qp)
             if columns is not None:
-                cols, shoup = columns
-                rows = len(base_q)
-                return (lambda poly: poly.mul_scalar_columns(
-                            cols[:rows], shoup[:rows]),
-                        lambda poly: poly.mul_scalar_columns(cols, shoup))
+                return lambda poly: poly.mul_scalar_columns(*columns)
             weight_qp = self.encoder.encode_scalar(weight, scale,
                                                    base_qp).poly
-        return weight_qp.restrict(base_q).mul, weight_qp.mul
-
-    def _rotate_reduce_stacked(self, ct: Ciphertext,
-                               terms: list[ReduceTerm],
-                               raised) -> Ciphertext:
-        """Bit-identical rotate-reduce: one stacked ModDown dispatch.
-
-        Members materialize exactly as :meth:`_galois_from_raised`
-        would produce them (all accumulator halves share one
-        :func:`~repro.ckks.keyswitch.mod_down_many` call, which is
-        bit-identical to per-member ModDowns), then weights, signs and
-        additions run as the discrete ops — residue arithmetic is
-        exactly associative, so any accumulation order matches the
-        unfused tree bit for bit.
-        """
-        from repro.ckks.keyswitch import (
-            galois_raised,
-            key_switch_accumulate,
-            mod_down_many,
-        )
-
-        ring = self.ring
-        level = ct.level
-        pending: list[RnsPolynomial] = []
-        for term in terms:
-            if term.amount == 0:
-                continue
-            galois_elt, evk = self._reduce_galois_elt(term.amount)
-            acc_b, acc_a = key_switch_accumulate(
-                galois_raised(raised, galois_elt), evk, level, ring)
-            pending.extend((acc_b, acc_a))
-        lowered = mod_down_many(pending, level, ring)
-        acc: Ciphertext | None = None
-        index = 0
-        for term in terms:
-            if term.amount == 0:
-                member = ct
-            else:
-                galois_elt, _ = self._reduce_galois_elt(term.amount)
-                ks_b, ks_a = lowered[index], lowered[index + 1]
-                index += 2
-                member = Ciphertext(ct.b.galois(galois_elt).sub(ks_b),
-                                    ks_a.neg(), ct.scale, ct.n_slots)
-            if term.weight is not None:
-                if isinstance(term.weight, np.ndarray):
-                    scale = term.weight_scale
-                    if scale is None:
-                        scale = float(ring.q_primes[level].value)
-                    pt = self.encoder.encode(
-                        np.asarray(term.weight, dtype=np.complex128),
-                        scale, level=member.level)
-                    member = self.multiply_plain(member, pt)
-                else:
-                    member = self.multiply_scalar(
-                        member, term.weight, scale=term.weight_scale)
-            if acc is None:
-                acc = self.negate(member) if term.sign < 0 else member
-            elif term.sign < 0:
-                acc = self.sub(acc, member)
-            else:
-                acc = self.add(acc, member)
-        return acc
+        return weight_qp.mul
 
     # ----- encryption / decryption (pk optional, sk for tests) ----------------------
 

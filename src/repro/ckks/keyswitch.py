@@ -27,10 +27,17 @@ coefficient-domain permutation oracle
 permutation-oracle test tier.
 
 Double-hoisting: :func:`key_switch_accumulate` exposes the evk inner
-product *without* the trailing ModDown, so a BSGS giant-step group can
-accumulate its plaintext-weighted baby terms in the extended base
-C_level + B and pay a single ModDown per group (see
-:meth:`~repro.ckks.linear_transform.LinearTransform.apply`).
+product *without* the trailing ModDown, and :func:`p_scaled_extension`
+lifts an un-switched polynomial into the same P-scaled form.  The
+evaluator's lazy accumulator
+(:meth:`~repro.ckks.evaluator.Evaluator.lazy_galois` /
+:meth:`~repro.ckks.evaluator.Evaluator.lazy_sums`) keeps such pairs in
+C_level + B, combines them linearly (plaintext multiplies, additions)
+and lowers every sum through one :func:`mod_down_many` call.  Its two
+callers are the double-hoisted BSGS of
+:meth:`~repro.ckks.linear_transform.LinearTransform.apply` (one sum per
+giant step) and :meth:`~repro.ckks.evaluator.Evaluator.rotate_reduce`
+(one sum per fused tree).
 """
 
 from __future__ import annotations
@@ -163,9 +170,9 @@ def mod_down_many(polys: list[RnsPolynomial], level: int,
     whose coefficient axis holds every polynomial side by side, one
     stacked NTT over all corrections.  Bit-identical to calling
     :func:`mod_down` per polynomial (the pair variant's invariant,
-    unchanged by width) — this is what lets a fused rotate-reduce tree
-    ModDown all of its members in one dispatch without perturbing a
-    single output bit.
+    unchanged by width) — this is what lets the lazy accumulator lower
+    every giant-step sum of a BSGS transform in one dispatch without
+    perturbing a single output bit.
     """
     if not polys:
         return []
@@ -234,9 +241,9 @@ def p_scaled_extension(poly: RnsPolynomial, level: int,
     columns; the special-prime rows are zero (``P = 0 mod p_j``).  The
     result lives in the same ``P``-scaled representation as a
     :func:`key_switch_accumulate` pair, so the two can be combined
-    linearly before a single shared :func:`mod_down_pair` — the
-    double-hoisting identity ``mod_down(P*x + acc) == x + mod_down(acc)``
-    up to the BConv approximation the special modulus absorbs.
+    linearly before one shared ModDown.  The double-hoisting identity
+    ``mod_down(P*x + acc) == x + mod_down(acc)`` holds exactly, because
+    the special-prime rows of ``P*x`` are zero.
     """
     if not poly.is_ntt:
         raise ValueError("p_scaled_extension expects an NTT polynomial")

@@ -18,13 +18,6 @@ import numpy as np
 
 from repro.ckks.cipher import Ciphertext
 from repro.ckks.evaluator import Evaluator
-from repro.ckks.keyswitch import (
-    galois_raised,
-    key_switch_accumulate,
-    mod_down_pair,
-    p_scaled_extension,
-    raise_decomposition,
-)
 
 _ZERO_TOL = 1e-12
 
@@ -116,16 +109,17 @@ class LinearTransform:
         """Homomorphic ``M z`` (one level consumed; output rescaled).
 
         ``double_hoist=True`` (default) runs the Lattigo-style
-        double-hoisted BSGS: the baby-step rotations share one
-        NTT-domain raise of ``ct.a`` *and* stay in the extended base
-        ``C_level + B`` without ModDown — each giant group accumulates
-        its plaintext-weighted baby terms there and pays a single
-        ModDown, so an n1 x n2 plan performs ``n2`` inner-sum ModDowns
-        instead of ``n1`` baby ModDowns.  The ModDown's BConv
-        approximation then enters once per group instead of once per
-        baby, which shifts the (noise-level) rounding slightly;
-        ``double_hoist=False`` keeps the PR-3 eager path as the
-        reference, and the two agree to well below the noise floor.
+        double-hoisted BSGS on the evaluator's lazy key-switch
+        accumulator, the same one
+        :meth:`~repro.ckks.evaluator.Evaluator.rotate_reduce` uses: the
+        baby rotations share one NTT-domain raise of ``ct.a`` and stay
+        P-scaled in ``C_level + B``, each giant group accumulates its
+        plaintext-weighted baby terms there, and every group's sum
+        lowers through one stacked ModDown.  The BConv rounding thus
+        enters once per group instead of once per baby.
+        ``double_hoist=False`` is the eager reference (one ModDown per
+        baby, PMults in ``C_level``); the two agree to well below the
+        noise floor.
         """
         n = self.n_slots
         if ct.n_slots != n:
@@ -174,54 +168,28 @@ class LinearTransform:
                               pmult_scale: float) -> Ciphertext:
         """Double-hoisted BSGS body (see :meth:`apply`).
 
-        Baby rotations are kept in the ``P``-scaled extended base as
-        ``(P*phi_b(ct.b) - ks_b, -ks_a)`` pairs — the key-switch
-        accumulators *before* ModDown — shared across every giant
-        group; each group multiplies them by its pre-rotated plaintext
-        diagonals (encoded over ``C_level + B``), accumulates, and
-        ModDowns the group sum once.
+        The baby rotations are the evaluator's lazy pairs
+        (:meth:`~repro.ckks.evaluator.Evaluator.lazy_galois`), shared by
+        every giant group; each group weights them by its pre-rotated
+        diagonals (encoded over ``C_level + B``) and all group sums
+        lower in one :meth:`~repro.ckks.evaluator.Evaluator.lazy_sums`.
         """
         if not groups:
             raise ValueError("transform has no nonzero diagonals")
-        ring = evaluator.ring
-        n = self.n_slots
-        raised = raise_decomposition(ct.a, level, ring)
-        lazy: dict[int, tuple] = {}
-        for baby in baby_needed:
-            if baby == 0:
-                # The un-rotated term needs no key-switch: P-scale both
-                # halves so they mix with the accumulators (and ModDown
-                # recovers them exactly — the special rows are zero).
-                lazy[0] = (p_scaled_extension(ct.b, level, ring),
-                           p_scaled_extension(ct.a, level, ring).neg())
-                continue
-            if baby not in evaluator.rotation_keys:
-                raise ValueError(f"no rotation key for amount {baby}")
-            galois_elt = pow(5, baby, 2 * ring.n)
-            ks_b, ks_a = key_switch_accumulate(
-                galois_raised(raised, galois_elt),
-                evaluator.rotation_keys[baby], level, ring)
-            b_qp = p_scaled_extension(ct.b.galois(galois_elt), level, ring)
-            lazy[baby] = (b_qp.sub(ks_b), ks_a)
-        base_qp = ring.base_qp(level)
+        base_qp = evaluator.ring.base_qp(level)
+        giants = sorted(groups)
+        weighted = [
+            [(d % g, 1, self._encoded_diagonal(
+                evaluator, d, giant, base_qp, pmult_scale).poly.mul)
+             for d in groups[giant]]
+            for giant in giants]
+        pairs = evaluator.lazy_galois(ct, baby_needed)
+        inners = evaluator.lazy_sums(ct, pairs, weighted,
+                                     ct.scale * pmult_scale)
         acc: Ciphertext | None = None
-        for giant in sorted(groups):
-            acc_b = acc_a = None
-            for d in groups[giant]:
-                pt = self._encoded_diagonal(evaluator, d, giant, base_qp,
-                                            pmult_scale)
-                lazy_b, lazy_a = lazy[d % g]
-                term_b = lazy_b.mul(pt.poly)
-                term_a = lazy_a.mul(pt.poly)
-                acc_b = term_b if acc_b is None else acc_b.add(term_b)
-                acc_a = term_a if acc_a is None else acc_a.add(term_a)
-            inner_b, inner_a = mod_down_pair(acc_b, acc_a, level, ring)
-            # Sign convention: lazy pairs store (b-half, ks_a); the
-            # ciphertext's a-half is -ks_a, folded here after ModDown.
-            inner = Ciphertext(inner_b, inner_a.neg(),
-                               ct.scale * pmult_scale, ct.n_slots)
-            if giant % n:
-                inner = evaluator.rotate(inner, giant % n)
+        for giant, inner in zip(giants, inners):
+            if giant % self.n_slots:
+                inner = evaluator.rotate(inner, giant % self.n_slots)
             acc = inner if acc is None else evaluator.add(acc, inner)
         return evaluator.rescale(acc)
 

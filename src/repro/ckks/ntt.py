@@ -25,7 +25,10 @@ across the full ``(num_limbs, n)`` residue matrix.  The per-prime
 the scalar reference implementation the batched engine is tested
 bit-identical against: both compute the exact same canonical residues
 in the same (bit-reversed) order, so outputs agree bit for bit, not
-merely modulo q.
+merely modulo q.  A ``(..., num_limbs, n)`` input stacks several
+polynomials over the same base along leading axes; the base's tables
+broadcast over them, so a stack of ``r`` polynomials costs one call and
+no ``r``-fold copy of the tables.
 
 The batched engine is :class:`_StockhamPlan`, a radix-4 Stockham
 auto-sort transform over ping-pong buffers.  The residue matrix lives
@@ -437,12 +440,11 @@ class _StockhamPlan:
     def _buffers(self, a: np.ndarray, swaps: int
                  ) -> tuple[np.ndarray, np.ndarray]:
         """Ping/pong pair arranged so the result lands in a fresh array."""
-        L, n = self.num_limbs, self.n
-        fresh = np.empty((L, n), dtype=np.uint64)
+        fresh = np.empty(a.shape, dtype=np.uint64)
         if swaps % 2 == 0:
             np.copyto(fresh, a)
-            return fresh, workspace_buffer("stk.pong", (L, n))
-        ping = workspace_buffer("stk.pong", (L, n))
+            return fresh, workspace_buffer("stk.pong", a.shape)
+        ping = workspace_buffer("stk.pong", a.shape)
         np.copyto(ping, a)
         return ping, fresh
 
@@ -453,9 +455,8 @@ class _StockhamPlan:
 
     def _normalize(self, a: np.ndarray, chain: list[np.ndarray]
                    ) -> np.ndarray:
-        L, n = self.num_limbs, self.n
         t = self.tile_n
-        x = a.reshape(L, n // t, t)
+        x = a.reshape(*a.shape[:-1], self.n // t, t)
         scr = workspace_buffer("stk.corr", x.shape)
         for plane in chain:
             np.subtract(x, plane[:, None, :], out=scr)
@@ -465,9 +466,10 @@ class _StockhamPlan:
     # ----- transforms ----------------------------------------------------
 
     def forward(self, a: np.ndarray) -> np.ndarray:
-        """Radix-4 Stockham forward NTT of a ``(num_limbs, n)`` matrix."""
-        L, n = self.num_limbs, self.n
+        """Radix-4 Stockham forward NTT of ``(..., num_limbs, n)`` limbs."""
+        n = self.n
         a = np.asarray(a, dtype=np.uint64)
+        L = a.shape[:-1]  # leading axes; the tables broadcast over them
         swaps = (1 if self.lone else 0) + len(self.fwd_stages)
         cur, nxt = self._buffers(a, swaps)
         if self.lone:
@@ -475,45 +477,45 @@ class _StockhamPlan:
             h2 = n // 2
             tl = min(self.tile_n, h2)
             mI, m4I = self._mslice(tl)
-            u = cur[:, :h2].reshape(L, h2 // tl, tl)
-            v = cur[:, h2:].reshape(L, h2 // tl, tl)
+            u = cur[..., :h2].reshape(*L, h2 // tl, tl)
+            v = cur[..., h2:].reshape(*L, h2 // tl, tl)
             t = _shoup4(v, w[:, None, :tl], s_lo[:, None, :tl],
                         s_hi[:, None, :tl], mI,
                         workspace_buffer("stk.t1", v.shape))
-            out = nxt.reshape(L, h2, 2)
-            np.add(u.reshape(L, h2), t.reshape(L, h2), out=out[:, :, 0])
+            out = nxt.reshape(*L, h2, 2)
+            np.add(u.reshape(*L, h2), t.reshape(*L, h2), out=out[..., 0])
             tmp = np.add(u, m4I, out=workspace_buffer("stk.tmp", u.shape))
-            np.subtract(tmp.reshape(L, h2), t.reshape(L, h2),
-                        out=out[:, :, 1])
+            np.subtract(tmp.reshape(*L, h2), t.reshape(*L, h2),
+                        out=out[..., 1])
             cur, nxt = nxt, cur
         for B, I1, (w1, s1lo, s1hi), I2, (w2, s2lo, s2hi) \
                 in self.fwd_stages:
             h = n // B
             h4 = h // 4
             half = n // 2
-            r1 = (L, half // I1, I1)
-            IN = cur.reshape(L, h, B)
-            u = IN[:, :h // 2, :].reshape(r1)
-            v = IN[:, h // 2:, :].reshape(r1)
+            r1 = (*L, half // I1, I1)
+            IN = cur.reshape(*L, h, B)
+            u = IN[..., :h // 2, :].reshape(r1)
+            v = IN[..., h // 2:, :].reshape(r1)
             mI, m4I = self._mslice(I1)
-            Y = workspace_buffer("stk.mid", (L, 4, h4 * B))
+            Y = workspace_buffer("stk.mid", (*L, 4, h4 * B))
             t = _shoup4(v, w1[:, None, :], s1lo[:, None, :],
                         s1hi[:, None, :], mI,
                         workspace_buffer("stk.t1", r1))
-            np.add(u, t, out=Y[:, 0:2].reshape(r1))
+            np.add(u, t, out=Y[..., 0:2, :].reshape(r1))
             tmp = np.add(u, m4I, out=workspace_buffer("stk.tmp", r1))
-            np.subtract(tmp, t, out=Y[:, 2:4].reshape(r1))
+            np.subtract(tmp, t, out=Y[..., 2:4, :].reshape(r1))
             # sub-stage 2: multiplicands are the odd quarters y1, y3
-            r2 = (L, 2, (h4 * B) // I2, I2)
-            yo = Y[:, 1::2].reshape(r2)
-            ye = Y[:, 0::2].reshape(r2)
+            r2 = (*L, 2, (h4 * B) // I2, I2)
+            yo = Y[..., 1::2, :].reshape(r2)
+            ye = Y[..., 0::2, :].reshape(r2)
             mI2, m4I2 = self._mslice(I2)
             t2 = _shoup4(yo, w2, s2lo, s2hi, mI2[:, None, :, :],
                          workspace_buffer("stk.t2", r2))
-            OUT = nxt.reshape(L, h4, B, 4)
-            q4 = (L, 2, h4, B)
-            zp = np.moveaxis(OUT[:, :, :, 0::2], 3, 1)
-            zm = np.moveaxis(OUT[:, :, :, 1::2], 3, 1)
+            OUT = nxt.reshape(*L, h4, B, 4)
+            q4 = (*L, 2, h4, B)
+            zp = np.moveaxis(OUT[..., 0::2], -1, -3)
+            zm = np.moveaxis(OUT[..., 1::2], -1, -3)
             np.add(ye.reshape(q4), t2.reshape(q4), out=zp)
             tmp = np.add(ye, m4I2[:, None, :, :],
                          out=workspace_buffer("stk.tmp", r2))
@@ -523,34 +525,33 @@ class _StockhamPlan:
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """Radix-4 Stockham inverse NTT (bit-reversed in, natural out)."""
-        L, n = self.num_limbs, self.n
+        n = self.n
         a = np.asarray(a, dtype=np.uint64)
+        L = a.shape[:-1]  # leading axes; the tables broadcast over them
         swaps = (1 if self.lone else 0) + len(self.inv_stages)
         cur, nxt = self._buffers(a, swaps)
         for C, IA, (wA, sAlo, sAhi), IB, (wB, sBlo, sBhi), final \
                 in self.inv_stages:
             h = n // (2 * C)
             C2 = C // 2
-            IN = cur.reshape(L, h, 2 * C)
-            MID = workspace_buffer("stk.mid", (L, 2 * h, C))
-            self._gs_substage(IN, MID.reshape(L, 2 * h, C), C, IA,
-                              wA, sAlo, sAhi, scale=None)
+            IN = cur.reshape(*L, h, 2 * C)
+            MID = workspace_buffer("stk.mid", (*L, 2 * h, C))
+            self._gs_substage(IN, MID, C, IA, wA, sAlo, sAhi, scale=None)
             scale = self.ninv_plane if final else None
-            self._gs_substage(MID.reshape(L, 2 * h, C),
-                              nxt.reshape(L, 4 * h, C2), C2, IB,
+            self._gs_substage(MID, nxt.reshape(*L, 4 * h, C2), C2, IB,
                               wB, sBlo, sBhi, scale=scale)
             cur, nxt = nxt, cur
         if self.lone:
             h2 = n // 2
-            IN = cur.reshape(L, h2, 2)
+            IN = cur.reshape(*L, h2, 2)
             tl = min(self.tile_n, h2)
-            rs = (L, h2 // tl, tl)
+            rs = (*L, h2 // tl, tl)
             mI, m4I = self._mslice(tl)
             U = workspace_buffer("stk.u", rs)
             V = workspace_buffer("stk.v", rs)
-            np.copyto(U.reshape(L, h2), IN[:, :, 0])
-            np.copyto(V.reshape(L, h2), IN[:, :, 1])
-            W = nxt[:, :h2].reshape(rs)
+            np.copyto(U.reshape(*L, h2), IN[..., 0])
+            np.copyto(V.reshape(*L, h2), IN[..., 1])
+            W = nxt[..., :h2].reshape(rs)
             np.add(U, V, out=W)
             scr = workspace_buffer("stk.cw", rs)
             np.subtract(W, m4I, out=scr)
@@ -563,14 +564,14 @@ class _StockhamPlan:
             np.subtract(U, V, out=U)
             wM, sMlo, sMhi = self.inv_lone
             _shoup4(U, wM[:, None, :tl], sMlo[:, None, :tl],
-                    sMhi[:, None, :tl], mI, nxt[:, h2:].reshape(rs))
+                    sMhi[:, None, :tl], mI, nxt[..., h2:].reshape(rs))
             cur, nxt = nxt, cur
         return self._normalize(cur, self.inv_chain)
 
     def _gs_substage(self, IN: np.ndarray, OUT: np.ndarray, C2: int,
                      I: int, w: np.ndarray, s_lo: np.ndarray,
                      s_hi: np.ndarray, scale) -> None:
-        """One Gentleman-Sande stage: ``(L, h, 2*C2)`` -> ``(L, 2h, C2)``.
+        """One Gentleman-Sande stage: ``(.., h, 2*C2)`` -> ``(.., 2h, C2)``.
 
         Gathers the interleaved column pairs into contiguous scratch,
         writes the add branch (corrected once to stay below ``4m``) and
@@ -578,15 +579,14 @@ class _StockhamPlan:
         ``scale`` is given (the folded ``1/n`` of the final stage) the
         add branch is additionally Shoup-multiplied by it.
         """
-        L = IN.shape[0]
-        h = IN.shape[1]
-        rs = (L, (h * C2) // I, I)
+        *L, h, _ = IN.shape
+        rs = (*L, (h * C2) // I, I)
         mI, m4I = self._mslice(I)
         U = workspace_buffer("stk.u", rs)
         V = workspace_buffer("stk.v", rs)
-        np.copyto(U.reshape(L, h, C2), IN[:, :, 0::2])
-        np.copyto(V.reshape(L, h, C2), IN[:, :, 1::2])
-        W = OUT[:, :h, :].reshape(rs)
+        np.copyto(U.reshape(*L, h, C2), IN[..., 0::2])
+        np.copyto(V.reshape(*L, h, C2), IN[..., 1::2])
+        W = OUT[..., :h, :].reshape(rs)
         np.add(U, V, out=W)
         scr = workspace_buffer("stk.cw", rs)
         np.subtract(W, m4I, out=scr)
@@ -598,7 +598,7 @@ class _StockhamPlan:
         np.add(U, m4I, out=U)
         np.subtract(U, V, out=U)
         _shoup4(U, w[:, None, :], s_lo[:, None, :], s_hi[:, None, :],
-                mI, OUT[:, h:, :].reshape(rs))
+                mI, OUT[..., h:, :].reshape(rs))
 
 
 def _tally(stages: list[tuple[str, int, float]]) -> dict:
@@ -648,27 +648,36 @@ class BatchedNttContext:
 
     def _check_shape(self, a: np.ndarray) -> None:
         expected = (self.num_limbs, self.n)
-        if a.shape != expected:
-            raise ValueError(f"expected shape {expected}, got {a.shape}")
+        if a.shape[-2:] != expected:
+            raise ValueError(
+                f"expected shape (..., *{expected}), got {a.shape}")
+
+    def _per_limb(self, a: np.ndarray, direction: str) -> np.ndarray:
+        rows = a.reshape(-1, self.n)
+        contexts = self.contexts * (len(rows) // self.num_limbs)
+        return np.stack([getattr(c, direction)(row)
+                         for c, row in zip(contexts, rows)]).reshape(a.shape)
 
     def forward(self, a: np.ndarray) -> np.ndarray:
-        """Batched negacyclic NTT of a ``(num_limbs, n)`` matrix."""
+        """Batched negacyclic NTT of ``(..., num_limbs, n)`` residues.
+
+        Leading axes stack several polynomials over this base; they
+        share its tables, so no wider context is built for them.
+        """
         self._check_shape(a)
         if self.plan is None:
-            return np.stack([c.forward(row)
-                             for c, row in zip(self.contexts, a)])
+            return self._per_limb(a, "forward")
         if _obs_kernel._ENABLED:
-            _obs_kernel.TALLY.ntt_forward += self.num_limbs
+            _obs_kernel.TALLY.ntt_forward += a.size // self.n
         return self.plan.forward(a)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
-        """Batched inverse negacyclic NTT of a ``(num_limbs, n)`` matrix."""
+        """Batched inverse NTT of ``(..., num_limbs, n)`` residues."""
         self._check_shape(a)
         if self.plan is None:
-            return np.stack([c.inverse(row)
-                             for c, row in zip(self.contexts, a)])
+            return self._per_limb(a, "inverse")
         if _obs_kernel._ENABLED:
-            _obs_kernel.TALLY.ntt_inverse += self.num_limbs
+            _obs_kernel.TALLY.ntt_inverse += a.size // self.n
         return self.plan.inverse(a)
 
 

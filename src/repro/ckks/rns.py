@@ -265,21 +265,17 @@ class StackedTransform:
     """One shared batched NTT over several limb-stacked polynomials.
 
     ModUp's per-slice complement conversions and ModDown's ``(b, a)``
-    accumulator pair each need the *same* transform applied to several
-    residue matrices; concatenating them along the limb axis and running
-    a single batched transform per base amortizes the per-stage NumPy
-    dispatch cost across every stacked limb — the software analogue of
-    the BTS NTTU streaming independent limb groups through one butterfly
-    schedule (and the transform-reuse FAB leans on to keep its NTT fed).
-    The stacked context is cached by the concatenated ``(q, psi)`` chain
-    like any other base, and outputs are bit-identical to transforming
-    each polynomial on its own.
+    accumulator pairs each need the *same* transform applied to several
+    residue matrices; running them as one batched transform amortizes
+    the per-stage NumPy dispatch cost across every stacked limb — the
+    software analogue of the BTS NTTU streaming independent limb groups
+    through one butterfly schedule (and the transform-reuse FAB leans on
+    to keep its NTT fed).  Polynomials over one common base stack along
+    a leading axis and share that base's cached tables; mixed bases
+    concatenate along the limb axis under a context cached by the
+    concatenated ``(q, psi)`` chain.  Outputs are bit-identical to
+    transforming each polynomial on its own.
     """
-
-    @staticmethod
-    def _stacked_context(polys: list["RnsPolynomial"]):
-        return batched_ntt_context(
-            tuple(p.ntt for poly in polys for p in poly.base))
 
     @staticmethod
     def _validate(polys: list["RnsPolynomial"], is_ntt: bool) -> None:
@@ -293,8 +289,20 @@ class StackedTransform:
                 raise ValueError("stacked polynomials are in mixed domains")
 
     @staticmethod
-    def _split(polys: list["RnsPolynomial"], out: np.ndarray,
-               is_ntt: bool) -> list["RnsPolynomial"]:
+    def _run(polys: list["RnsPolynomial"], direction: str,
+             is_ntt: bool) -> list["RnsPolynomial"]:
+        base = polys[0].base
+        if all(len(p.base) == len(base)
+               and all(a is b for a, b in zip(p.base, base))
+               for p in polys):
+            ctx = batched_ntt_context(tuple(p.ntt for p in base))
+            out = getattr(ctx, direction)(
+                np.stack([p.residues for p in polys]))
+            return [RnsPolynomial(base, rows, is_ntt) for rows in out]
+        ctx = batched_ntt_context(
+            tuple(p.ntt for poly in polys for p in poly.base))
+        out = getattr(ctx, direction)(
+            np.concatenate([p.residues for p in polys]))
         results = []
         row = 0
         for p in polys:
@@ -310,9 +318,7 @@ class StackedTransform:
         cls._validate(polys, is_ntt=False)
         if len(polys) == 1:
             return [polys[0].to_ntt()]
-        ctx = cls._stacked_context(polys)
-        out = ctx.forward(np.concatenate([p.residues for p in polys]))
-        return cls._split(polys, out, is_ntt=True)
+        return cls._run(polys, "forward", is_ntt=True)
 
     @classmethod
     def inverse(cls, polys: list["RnsPolynomial"]
@@ -321,9 +327,7 @@ class StackedTransform:
         cls._validate(polys, is_ntt=True)
         if len(polys) == 1:
             return [polys[0].from_ntt()]
-        ctx = cls._stacked_context(polys)
-        out = ctx.inverse(np.concatenate([p.residues for p in polys]))
-        return cls._split(polys, out, is_ntt=False)
+        return cls._run(polys, "inverse", is_ntt=False)
 
 
 @lru_cache(maxsize=256)

@@ -11,7 +11,7 @@ from repro.runtime.executor import ExecutionCancelled, ExecutionError, \
     execute, execute_subgraph
 from repro.runtime.ir import Expr, Node, OpCode, Program
 from repro.runtime.lowering import LoweredProgram, lower_to_trace
-from repro.runtime.optimizer import FusedReduce, FusedTerm, optimize_plan
+from repro.runtime.optimizer import FusedReduce, optimize_plan
 from repro.runtime.planner import (
     NodeMeta,
     Plan,
@@ -29,7 +29,6 @@ __all__ = [
     "ExecutionError",
     "Expr",
     "FusedReduce",
-    "FusedTerm",
     "LoweredProgram",
     "Node",
     "NodeMeta",

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ckks.cipher import Ciphertext
-from repro.ckks.evaluator import SCALE_RTOL, Evaluator, ReduceTerm
+from repro.ckks.evaluator import SCALE_RTOL, Evaluator
 from repro.obs import kernel as _obs_kernel
 from repro.obs.noise import NoiseTracker
 from repro.runtime.ir import OpCode
@@ -248,13 +248,8 @@ def _run(plan: Plan, evaluator: Evaluator, inputs: dict[str, Ciphertext],
             if _obs_kernel._ENABLED:
                 tally_before = _obs_kernel.snapshot()
         if fusion is not None:
-            source = consume(fusion.source)
-            terms = [ReduceTerm(amount=t.amount, sign=t.sign,
-                                weight=t.weight,
-                                weight_scale=t.weight_scale)
-                     for t in fusion.terms]
-            result = evaluator.rotate_reduce(
-                source, terms, mode=plan.config.fusion_moddown)
+            result = evaluator.rotate_reduce(consume(fusion.source),
+                                             fusion.terms)
         elif op is OpCode.INPUT:
             ct = inputs[node.name]
             if ct.n_slots != program.n_slots:

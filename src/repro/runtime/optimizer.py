@@ -10,14 +10,12 @@ and collapses each into a single :class:`FusedReduce` record that the
 executor runs as one
 :meth:`~repro.ckks.evaluator.Evaluator.rotate_reduce` call: one
 NTT-domain raise of the source's ``a`` half, one evaluation-point
-gather + evk product per member, and — with
-``fusion_moddown="single"`` — accumulation in the P-scaled extended
-base so the *whole tree* pays one ModDown (the
-:class:`~repro.ckks.linear_transform.LinearTransform` double-hoisting
-trick generalized to arbitrary additive DAGs).
-``fusion_moddown="stacked"`` instead keeps one logical ModDown per
-member but runs them all through one stacked dispatch, which is
-bit-identical to the unfused tree.
+gather + evk product per member, and accumulation in the P-scaled
+extended base so the *whole tree* pays one ModDown pair — the lazy
+key-switch accumulator that
+:class:`~repro.ckks.linear_transform.LinearTransform` runs per giant
+step.  The shared ModDown rounds once instead of once per member, so a
+fused tree matches the unfused one to within noise, not bit for bit.
 
 Admission rules (all conservative — a rejected tree simply executes
 unfused):
@@ -45,27 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.ckks.evaluator import ReduceTerm
 from repro.runtime.ir import OpCode
 from repro.runtime.planner import Plan, _scales_close, detect_rotation_batches
 
 #: Tree shapes the expansion may walk through (with sign tracking).
 _INTERIOR_OPS = (OpCode.HADD, OpCode.HSUB, OpCode.NEG)
-
-
-@dataclass(frozen=True)
-class FusedTerm:
-    """One leaf of a fused tree: ``sign * weight * galois(source)``.
-
-    ``amount`` follows :class:`~repro.ckks.evaluator.ReduceTerm`:
-    a slot-rotation amount, ``0`` for the identity, ``None`` for
-    conjugation.  ``weight``/``weight_scale`` carry the absorbed
-    PMULT/CMULT payload and its planner-assigned encoding scale.
-    """
-
-    amount: int | None
-    sign: int = 1
-    weight: object = None
-    weight_scale: float | None = None
 
 
 @dataclass(frozen=True)
@@ -80,7 +63,7 @@ class FusedReduce:
 
     root: int
     source: int
-    terms: tuple[FusedTerm, ...]
+    terms: tuple[ReduceTerm, ...]
     covered: tuple[int, ...]
 
 
@@ -147,7 +130,7 @@ def _try_fuse(plan: Plan, root: int, absorbable, min_galois_terms: int):
 
     expand(root, 1, True)
 
-    terms: list[FusedTerm] = []
+    terms: list[ReduceTerm] = []
     covered: list[int] = list(interior)
     sources: set[int] = set()
     galois_terms = 0
@@ -181,8 +164,8 @@ def _try_fuse(plan: Plan, root: int, absorbable, min_galois_terms: int):
         if amount != 0:
             galois_terms += 1
         sources.add(source)
-        terms.append(FusedTerm(amount=amount, sign=sign, weight=weight,
-                               weight_scale=weight_scale))
+        terms.append(ReduceTerm(amount=amount, sign=sign, weight=weight,
+                                weight_scale=weight_scale))
     if len(sources) != 1 or galois_terms < min_galois_terms:
         return None
     source = sources.pop()

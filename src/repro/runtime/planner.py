@@ -29,8 +29,9 @@ executable :class:`Plan` in one forward walk plus two cheap analyses:
    of its own.
 5. **Rotate-reduce fusion** (opt-in, ``fuse_rotate_reduce=True``) —
    :mod:`repro.runtime.optimizer` collapses weighted rotate-reduce
-   trees over one source into a single hoisted gather-accumulate; see
-   that module for the admission rules and ModDown strategies.
+   trees over one source into a single hoisted gather-accumulate that
+   pays one ModDown pair per tree; see that module for the admission
+   rules.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ class PlannerConfig:
     bootstrap_level: int | None = None  #: level after a bootstrap (None:
     #: no bootstrapping available; running out of levels is an error)
     fuse_rotate_reduce: bool = False  #: run the optimizer fusion pass
-    fusion_moddown: str = "single"    #: fused ModDown strategy: "single"
-    #: (one ModDown per tree, double-hoist-class rounding) or "stacked"
-    #: (bit-identical, fuses dispatches only)
 
     def __post_init__(self) -> None:
         if len(self.q_values) != self.max_level + 1:
@@ -72,9 +70,6 @@ class PlannerConfig:
         if self.bootstrap_level is not None and not (
                 0 < self.bootstrap_level <= self.max_level):
             raise ValueError("bootstrap_level out of range")
-        if self.fusion_moddown not in ("single", "stacked"):
-            raise ValueError(
-                f"unknown fusion_moddown {self.fusion_moddown!r}")
 
     @property
     def nominal_scale(self) -> float:
@@ -456,10 +451,9 @@ def plan_cache_key(program: Program, config: PlannerConfig,
     h.update(struct.pack(
         "<q", -1 if config.input_level is None else config.input_level))
     h.update(struct.pack(f"<{len(config.q_values)}d", *config.q_values))
-    # Optimizer knobs change the plan (fusions, batches) and — for
-    # fusion_moddown="single" — the output bits, so they key the cache.
+    # The fusion pass changes the plan (fusions, batches) and the
+    # output bits (one shared ModDown per tree), so it keys the cache.
     h.update(struct.pack("<q", 1 if config.fuse_rotate_reduce else 0))
-    h.update(config.fusion_moddown.encode())
     return h.hexdigest()
 
 

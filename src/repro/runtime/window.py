@@ -9,8 +9,8 @@ into a single *window plan*, hash-consed on value keys:
 - an INPUT is keyed by the digest of the blob bound to it and its
   planned level and scale;
 - every other node by its op, canonical rotation, payload bits, encode
-  scale, planned level and scale, slot count, fusion terms and ModDown
-  mode, and the keys of its (effective) arguments.
+  scale, planned level and scale, slot count, fusion terms, and the
+  keys of its (effective) arguments.
 
 Two nodes with one key compute the same ciphertext bit for bit: every
 executor path is a deterministic function of exactly these facts, and
@@ -78,7 +78,6 @@ def plan_keys(plan: Plan) -> PlanKeys:
     them next to it.
     """
     n_slots = plan.program.n_slots
-    mode = plan.config.fusion_moddown
     keys: dict[int, tuple | None] = {}
     entries = []
     for nid in plan.order:
@@ -94,9 +93,9 @@ def plan_keys(plan: Plan) -> PlanKeys:
                 or any(keys[a] is None for a in args):
             key = None
         else:
-            terms = None if fusion is None else (mode, tuple(
+            terms = None if fusion is None else tuple(
                 (t.amount, t.sign, _bits(t.weight), t.weight_scale)
-                for t in fusion.terms))
+                for t in fusion.terms)
             key = (node.op, node.rotation % n_slots, _bits(node.payload),
                    meta.enc_scale, meta.level, meta.scale, n_slots, terms)
         keys[nid] = key

@@ -124,12 +124,10 @@ class ServiceConfig:
     #: a common input blob share, then seeds each job (byte-identical
     #: to running every job on its own)
     optimize: bool = False           #: plan with rotate-reduce fusion
-    #: (:mod:`repro.runtime.optimizer`).  Opt-in: the default "single"
-    #: ModDown strategy changes output bits at the noise level (the
+    #: (:mod:`repro.runtime.optimizer`).  Opt-in: a fused tree's one
+    #: shared ModDown changes output bits at the noise level (the
     #: double-hoisting trade), and a fused tree shares across jobs only
     #: as a whole — its galois members no longer join a window raise.
-    fusion_moddown: str = "single"   #: forwarded to the planner when
-    #: ``optimize`` is set ("single" or "stacked")
     max_job_seconds: float | None = None  #: admission ceiling (estimated
     #: seconds on the paper's INS-2; None disables the simulator)
     bootstrap_level: int | None = None  #: forwarded to the planner
@@ -578,9 +576,7 @@ class RequestScheduler:
         config = PlannerConfig.from_ring(
             self.ring, bootstrap_level=self.config.bootstrap_level)
         if self.config.optimize:
-            config = dataclasses.replace(
-                config, fuse_rotate_reduce=True,
-                fusion_moddown=self.config.fusion_moddown)
+            config = dataclasses.replace(config, fuse_rotate_reduce=True)
         return config
 
     def _admit(self, job: _Job) -> None:

@@ -168,6 +168,31 @@ class TestBatchedNtt:
             inv, np.stack([c.inverse(fwd[i]) for i, c in enumerate(ctxs)]))
         assert np.array_equal(inv, a)
 
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_leading_axes_reuse_the_base_tables(self, n, each_backend,
+                                                monkeypatch):
+        """A ``(reps, limbs, n)`` stack runs on the base's own context:
+        bit-identical per slice, one pass per limb row, no new tables."""
+        from repro.ckks import ntt
+
+        primes = ntt_friendly_primes(40, 2, n) + ntt_friendly_primes(50, 1, n)
+        ctxs = tuple(NttContext.create(q, n) for q in primes)
+        batched = batched_ntt_context(ctxs)
+        cached = len(ntt._BATCHED_CACHE)
+        rng = np.random.default_rng(n)
+        a = np.stack([np.stack([rng.integers(0, q, size=n, dtype=np.uint64)
+                                for q in primes]) for _ in range(3)])
+        monkeypatch.setattr(obs_kernel, "_ENABLED", True)
+        before = obs_kernel.snapshot()
+        fwd = batched.forward(a)
+        inv = batched.inverse(fwd)
+        delta = obs_kernel.delta(before)
+        for rows, got_f, got_i in zip(a, fwd, inv):
+            assert np.array_equal(got_f, batched.forward(rows))
+            assert np.array_equal(got_i, rows)
+        assert delta["ntt_forward"] == delta["ntt_inverse"] == 3 * len(ctxs)
+        assert len(ntt._BATCHED_CACHE) == cached
+
     def test_cache_shared_across_equal_bases(self):
         n = 64
         primes = ntt_friendly_primes(45, 2, n)
@@ -220,6 +245,17 @@ class TestWideBaseOracleRoute:
         assert np.array_equal(inv, np.stack(
             [c.inverse(row) for c, row in zip(wide.contexts, fwd)]))
         assert np.array_equal(inv, a)
+
+    def test_leading_axes_match_per_slice(self, wide):
+        rng = np.random.default_rng(61)
+        a = np.stack([np.stack([rng.integers(0, c.modulus.value, size=self.N,
+                                             dtype=np.uint64)
+                                for c in wide.contexts]) for _ in range(2)])
+        fwd = wide.forward(a)
+        assert fwd.shape == a.shape
+        for rows, got in zip(a, fwd):
+            assert np.array_equal(got, wide.forward(rows))
+        assert np.array_equal(wide.inverse(fwd), a)
 
     def test_forward_tallies_one_pass_per_limb(self, wide, each_backend,
                                                monkeypatch):

@@ -397,13 +397,11 @@ class TestScalarColumnOracle:
         want.scale = 2.0 ** 40
         _assert_same(got, want)
 
-    @pytest.mark.parametrize("mode", ["single", "stacked"])
     def test_rotate_reduce_scalar_weights_match_oracle(
-            self, small_evaluator, small_ring, fresh_ct, monkeypatch,
-            mode):
+            self, small_evaluator, small_ring, fresh_ct, monkeypatch):
         terms = [ReduceTerm(0, 1, 0.75), ReduceTerm(1, -1, -2.5),
                  ReduceTerm(None, 1, 1e-3), ReduceTerm(4, 1, 3.0 + 0j)]
-        got = small_evaluator.rotate_reduce(fresh_ct, terms, mode)
+        got = small_evaluator.rotate_reduce(fresh_ct, terms)
         # Force every real weight back through the oracle encoding.
         monkeypatch.setattr(Encoder, "scalar_columns",
                             lambda self, value, scale, base: None)
@@ -411,8 +409,44 @@ class TestScalarColumnOracle:
             Encoder, "encode_scalar",
             lambda self, value, scale, base: constant_plaintext_oracle(
                 small_ring, complex(value).real, scale, base))
-        want = small_evaluator.rotate_reduce(fresh_ct, terms, mode)
+        want = small_evaluator.rotate_reduce(fresh_ct, terms)
         _assert_same(got, want)
+
+
+class TestLazyAccumulator:
+    """``rotate_reduce`` as one group of the lazy key-switch accumulator."""
+
+    @pytest.mark.parametrize("amounts", [[0], [1], [0, 1, 2, None],
+                                         [1, 2, 3, 4, 8, 16]])
+    def test_rotate_reduce_pays_one_moddown_pair(self, small_evaluator,
+                                                 fresh_ct, amounts):
+        terms = [ReduceTerm(a, 1 if i % 2 else -1, 0.25 * (i + 1))
+                 for i, a in enumerate(amounts)]
+        _, tally = _with_tally(
+            lambda: small_evaluator.rotate_reduce(fresh_ct, terms))
+        assert tally["moddown"] == 2
+
+    @pytest.mark.parametrize("weight", [0.75, -2.5, 0.5 + 0.25j])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_identity_only_matches_multiply_scalar(
+            self, small_evaluator, fresh_ct, weight, sign):
+        """P-scaled identity terms come back from ModDown exactly."""
+        ev = small_evaluator
+        got = ev.rotate_reduce(fresh_ct, [ReduceTerm(0, sign, weight)])
+        want = ev.multiply_scalar(fresh_ct, weight)
+        _assert_same(got, want if sign > 0 else ev.negate(want))
+
+    def test_mismatched_term_scales_rejected(self, small_evaluator,
+                                             fresh_ct):
+        with pytest.raises(ValueError, match="scales diverge"):
+            small_evaluator.rotate_reduce(
+                fresh_ct, [ReduceTerm(1), ReduceTerm(2, 1, 0.5)])
+
+    def test_bad_terms_rejected(self, small_evaluator, fresh_ct):
+        with pytest.raises(ValueError, match="no rotation key"):
+            small_evaluator.rotate_reduce(fresh_ct, [ReduceTerm(5)])
+        with pytest.raises(ValueError, match="at least one term"):
+            small_evaluator.rotate_reduce(fresh_ct, [])
 
 
 def _rescale_oracle(ring, ct: Ciphertext) -> tuple[RnsPolynomial,

@@ -128,6 +128,10 @@ class TestHomomorphicApply:
 class TestDoubleHoisting:
     """Lazy giant-step accumulation vs the eager reference path.
 
+    The double-hoisted path is the evaluator's lazy key-switch
+    accumulator with one group per giant step, the same accumulator
+    ``rotate_reduce`` runs as one group (pinned byte for byte below).
+
     Double-hoisting reorders where the ModDown BConv approximation
     enters (once per giant group instead of once per baby step), so the
     two routes are not bit-identical — they must agree at the message
@@ -161,6 +165,65 @@ class TestDoubleHoisting:
             want = ev.decrypt_to_message(eager, small_keys.secret)
             assert np.max(np.abs(got - want)) < 1e-7, level
             assert np.max(np.abs(got - mat @ z)) < 1e-4, level
+
+    @pytest.mark.parametrize("giant", [0, 4])
+    def test_one_giant_group_equals_rotate_reduce(self, small_evaluator,
+                                                  small_keys, small_encoder,
+                                                  rng, monkeypatch, giant):
+        """The double-hoisted BSGS and ``rotate_reduce`` share one
+        accumulator: a one-group transform is the fused sum over its
+        pre-rotated diagonals, rotated by the giant step and rescaled."""
+        from repro.ckks.evaluator import ReduceTerm
+
+        n = 16
+        g = bsgs_split(n)
+        ev = small_evaluator
+        diagonals = {giant + b: rng.normal(size=n) + 1j * rng.normal(size=n)
+                     for b in range(g)}
+        lt = LinearTransform(diagonals, n)
+        ct = encrypt_message(small_keys, small_encoder,
+                             rng.normal(size=n) + 0j, SCALE)
+        pmult_scale = float(ev.ring.q_primes[ct.level].value)
+        fused = ev.rotate_reduce(ct, [
+            ReduceTerm(d % g, 1, np.roll(diag, giant), pmult_scale)
+            for d, diag in diagonals.items()])
+        if giant:
+            fused = ev.rotate(fused, giant)
+        pairs = [(lt.apply(ev, ct), ev.rescale(fused))]
+        # The rescale's rounding would hide a shift of a few units, so
+        # compare the sums before it too.
+        monkeypatch.setattr(ev, "rescale", lambda x: x)
+        pairs.append((lt.apply(ev, ct), fused))
+        for got, want in pairs:
+            assert got.scale == want.scale and got.level == want.level
+            assert np.array_equal(got.b.residues, want.b.residues)
+            assert np.array_equal(got.a.residues, want.a.residues)
+
+    def test_moddown_tally_per_group_and_giant_rotation(
+            self, small_ring, small_keys, small_encoder, rng):
+        """Two ModDowns per giant group, two per nonzero giant HRot."""
+        from repro import obs
+        from repro.ckks.evaluator import Evaluator
+        from repro.obs import kernel as K
+
+        n = 16
+        ev = Evaluator(small_ring, rotation_keys={
+            r: small_keys.gen_rotation_key(r)
+            for r in bsgs_rotations(n, n)})
+        mat = rng.normal(size=(n, n)) + 0j
+        lt = LinearTransform.from_matrix(mat)
+        giants = {d - d % bsgs_split(n) for d in lt.diagonals}
+        ct = encrypt_message(small_keys, small_encoder,
+                             rng.normal(size=n) + 0j, SCALE)
+        obs.enable()
+        try:
+            K.reset()
+            lt.apply(ev, ct)
+            tally = K.snapshot()
+        finally:
+            obs.disable()
+        assert len(giants) == 4
+        assert tally["moddown"] == 2 * len(giants) + 2 * (len(giants) - 1)
 
     def test_p_scaled_extension_roundtrip(self, small_ring, rng):
         """mod_down(P * poly) == poly exactly (the baby-0 identity)."""

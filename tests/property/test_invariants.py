@@ -210,6 +210,29 @@ class TestStackedTransformInvariants:
             assert not got.is_ntt
             assert np.array_equal(got.residues, poly.residues)
 
+    @given(st.integers(min_value=0, max_value=2**32),
+           st.integers(min_value=2, max_value=8))
+    @settings(max_examples=15, deadline=None)
+    def test_same_base_stack_equals_per_poly(self, seed, count):
+        """One shared base stacks along a leading axis on its own
+        context: bit-identical per polynomial, no wider tables built."""
+        from repro.ckks import ntt
+        from repro.ckks.rns import StackedTransform
+        from tests.property._shared import shared_setup
+        ring, _, _, _ = shared_setup()
+        rng = np.random.default_rng(seed)
+        base = ring.base_q(int(rng.integers(0, ring.max_level + 1)))
+        polys = [_random_poly(ring, base, rng) for _ in range(count)]
+        polys[0].to_ntt()  # the base's own context, cached
+        cached = len(ntt._BATCHED_CACHE)
+        stacked = StackedTransform.forward(polys)
+        back = StackedTransform.inverse(stacked)
+        assert len(ntt._BATCHED_CACHE) == cached
+        for poly, got, again in zip(polys, stacked, back):
+            assert got.base == base and got.is_ntt
+            assert np.array_equal(got.residues, poly.to_ntt().residues)
+            assert np.array_equal(again.residues, poly.residues)
+
     def test_mixed_domains_rejected(self):
         from repro.ckks.rns import StackedTransform
         from tests.property._shared import shared_setup

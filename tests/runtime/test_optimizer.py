@@ -1,16 +1,13 @@
 """Differential tests for the rotate-reduce fusion optimizer.
 
-Two fidelity classes, mirroring the evaluator's own contract:
-
-* ``fusion_moddown="stacked"`` keeps one logical ModDown per member
-  (dispatched through one stacked call) and must be **bit-identical**
-  to the unfused plan — any divergence is an optimizer/executor bug.
-* ``fusion_moddown="single"`` accumulates the key-switch halves in the
-  P-scaled extended base and pays one ModDown for the whole tree.  The
-  deferred base conversion rounds once instead of per member, so — like
-  the double-hoisted BSGS path — its output is compared after decrypt
-  against a tight tolerance, and its kernel tallies must be *strictly
-  lower* than the unfused plan's on every field.
+A fused tree accumulates its key-switch halves in the P-scaled extended
+base and pays one ModDown pair for the whole tree.  The deferred base
+conversion rounds once instead of per member, so — like the
+double-hoisted BSGS path — its output is compared after decrypt against
+a tight tolerance, and its kernel tallies must be *strictly lower* than
+the unfused plan's on every field.  Fused execution itself is
+deterministic: seeding a fused root reproduces direct execution byte
+for byte.
 """
 
 import dataclasses
@@ -39,10 +36,9 @@ SCALE = 2.0 ** 40
 KEYED_AMOUNTS = (1, 2, 3, 4, 8, 16)
 
 
-def fused_config(ring, moddown="single"):
+def fused_config(ring):
     return dataclasses.replace(PlannerConfig.from_ring(ring),
-                               fuse_rotate_reduce=True,
-                               fusion_moddown=moddown)
+                               fuse_rotate_reduce=True)
 
 
 def assert_ct_equal(got, want):
@@ -50,6 +46,15 @@ def assert_ct_equal(got, want):
     assert got.scale == want.scale
     assert np.array_equal(got.b.residues, want.b.residues)
     assert np.array_equal(got.a.residues, want.a.residues)
+
+
+def assert_decrypts_close(evaluator, keys, got, want, tol=1e-6):
+    """Same level and scale; messages agree within one shared rounding."""
+    assert got.level == want.level
+    assert got.scale == want.scale
+    diff = (evaluator.decrypt_to_message(got, keys.secret)
+            - evaluator.decrypt_to_message(want, keys.secret))
+    assert np.max(np.abs(diff)) < tol
 
 
 def plain_tree(n_slots):
@@ -170,7 +175,7 @@ class TestFusionDetection:
         x = prog.input("x")
         t = x.rotate(1) + x.rotate(2)
         prog.output("out", t.rotate(3) + t.rotate(4))
-        plan = plan_program(prog, fused_config(small_ring, "stacked"))
+        plan = plan_program(prog, fused_config(small_ring))
         assert len(plan.fusions) == 2
         roots = {f.root for f in plan.fusions}
         sources = {f.source for f in plan.fusions}
@@ -180,7 +185,8 @@ class TestFusionDetection:
         got = execute(plan, small_evaluator, inputs)
         ref_plan = plan_program(prog, PlannerConfig.from_ring(small_ring))
         want = execute(ref_plan, small_evaluator, inputs)
-        assert_ct_equal(got["out"], want["out"])
+        assert_decrypts_close(small_evaluator, small_keys, got["out"],
+                              want["out"])
 
 
 class TestRotationCanonicalization:
@@ -213,40 +219,11 @@ class TestRotationCanonicalization:
     def test_cache_key_varies_with_fusion_config(self, small_ring):
         prog = plain_tree(small_ring.params.slots_max)
         base = PlannerConfig.from_ring(small_ring)
-        keys = {plan_cache_key(prog, base),
-                plan_cache_key(prog, fused_config(small_ring, "single")),
-                plan_cache_key(prog, fused_config(small_ring, "stacked"))}
-        assert len(keys) == 3
-
-    def test_bad_fusion_moddown_rejected(self, small_ring):
-        with pytest.raises(ValueError, match="fusion_moddown"):
-            fused_config(small_ring, "sideways")
+        assert (plan_cache_key(prog, base)
+                != plan_cache_key(prog, fused_config(small_ring)))
 
 
 class TestFusedExecution:
-    def test_stacked_bit_identical_plain(self, small_ring, small_evaluator,
-                                         small_keys, small_encoder, rng):
-        n = small_ring.params.slots_max
-        prog = plain_tree(n)
-        inputs = {"x": encrypted_input(small_keys, small_encoder, rng, n)}
-        want = execute(plan_program(prog, PlannerConfig.from_ring(
-            small_ring)), small_evaluator, inputs)
-        got = execute(plan_program(prog, fused_config(
-            small_ring, "stacked")), small_evaluator, inputs)
-        assert_ct_equal(got["out"], want["out"])
-
-    def test_stacked_bit_identical_weighted(self, small_ring,
-                                            small_evaluator, small_keys,
-                                            small_encoder, rng):
-        n = small_ring.params.slots_max
-        prog = weighted_tree(n)
-        inputs = {"x": encrypted_input(small_keys, small_encoder, rng, n)}
-        want = execute(plan_program(prog, PlannerConfig.from_ring(
-            small_ring)), small_evaluator, inputs)
-        got = execute(plan_program(prog, fused_config(
-            small_ring, "stacked")), small_evaluator, inputs)
-        assert_ct_equal(got["out"], want["out"])
-
     def test_single_mode_close_and_strictly_cheaper(
             self, small_ring, small_evaluator, small_keys, small_encoder,
             rng):
@@ -254,7 +231,7 @@ class TestFusedExecution:
         prog = weighted_tree(n)
         inputs = {"x": encrypted_input(small_keys, small_encoder, rng, n)}
         plain_plan = plan_program(prog, PlannerConfig.from_ring(small_ring))
-        fused_plan = plan_program(prog, fused_config(small_ring, "single"))
+        fused_plan = plan_program(prog, fused_config(small_ring))
         obs.enable()
         try:
             K.reset()
@@ -266,13 +243,8 @@ class TestFusedExecution:
         finally:
             obs.disable()
         # functional agreement: one deferred rounding, ~1e-9 territory
-        dec_want = small_evaluator.decrypt_to_message(want["out"],
-                                                      small_keys.secret)
-        dec_got = small_evaluator.decrypt_to_message(got["out"],
-                                                     small_keys.secret)
-        assert got["out"].scale == want["out"].scale
-        assert got["out"].level == want["out"].level
-        assert np.max(np.abs(dec_got - dec_want)) < 1e-6
+        assert_decrypts_close(small_evaluator, small_keys, got["out"],
+                              want["out"])
         # the fused tree does strictly less kernel work across the board
         for field in K.FIELDS:
             assert fused_tally[field] < plain_tally[field], field
@@ -286,7 +258,7 @@ class TestFusedExecution:
         x = prog.input("x")
         tree = x + x.rotate(1) + x.rotate(2)
         prog.output("out", tree * tree)
-        plan = plan_program(prog, fused_config(small_ring, "stacked"))
+        plan = plan_program(prog, fused_config(small_ring))
         assert len(plan.fusions) == 1
         root = plan.fusions[0].root
 
@@ -297,6 +269,10 @@ class TestFusedExecution:
         seeded = execute(plan, small_evaluator, inputs,
                          seeded_nodes=shared)
         assert_ct_equal(seeded["out"], direct["out"])
+        unfused = execute(plan_program(prog, PlannerConfig.from_ring(
+            small_ring)), small_evaluator, inputs)
+        assert_decrypts_close(small_evaluator, small_keys, direct["out"],
+                              unfused["out"], tol=1e-5)
 
 
 @st.composite
@@ -317,7 +293,7 @@ def tree_descriptors(draw):
 
 @pytest.mark.slow
 class TestRandomTreeDifferential:
-    """Random rotate-reduce trees: fused-vs-unfused across both modes."""
+    """Random rotate-reduce trees: fused vs unfused after decrypt."""
 
     @staticmethod
     def build(amounts, with_identity, with_conj, weighted, signs, kinds,
@@ -353,23 +329,12 @@ class TestRandomTreeDifferential:
         n = small_ring.params.slots_max
         prog = self.build(*rows, n)
         plain_plan = plan_program(prog, PlannerConfig.from_ring(small_ring))
-        stacked_plan = plan_program(prog, fused_config(small_ring,
-                                                       "stacked"))
-        single_plan = plan_program(prog, fused_config(small_ring,
-                                                      "single"))
-        assert stacked_plan.fusions and single_plan.fusions
+        fused_plan = plan_program(prog, fused_config(small_ring))
+        assert fused_plan.fusions
 
         local = np.random.default_rng(99)
         inputs = {"x": encrypted_input(small_keys, small_encoder, local,
                                        n)}
         want = execute(plain_plan, small_evaluator, inputs)["out"]
-        stacked = execute(stacked_plan, small_evaluator, inputs)["out"]
-        assert_ct_equal(stacked, want)
-
-        single = execute(single_plan, small_evaluator, inputs)["out"]
-        assert single.scale == want.scale and single.level == want.level
-        dec_want = small_evaluator.decrypt_to_message(want,
-                                                      small_keys.secret)
-        dec_single = small_evaluator.decrypt_to_message(single,
-                                                        small_keys.secret)
-        assert np.max(np.abs(dec_single - dec_want)) < 1e-6
+        got = execute(fused_plan, small_evaluator, inputs)["out"]
+        assert_decrypts_close(small_evaluator, small_keys, got, want)

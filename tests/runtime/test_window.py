@@ -2,8 +2,8 @@
 
 The contract: running the merged window plan once and seeding every
 job at its frontier reproduces each job's independent ``execute()``
-byte for byte — for unfused plans and for ``stacked``-fusion plans
-alike — while all rotations of one shared source ride one raise.
+byte for byte — for unfused plans and for plans with rotate-reduce
+fusion alike — while all rotations of one shared source ride one raise.
 """
 
 from __future__ import annotations
@@ -119,16 +119,15 @@ def blobs(small_keys, small_encoder, small_params):
 
 
 class TestWindowDifferential:
-    @pytest.mark.parametrize("fusion", [None, "stacked"])
+    @pytest.mark.parametrize("fuse", [False, True],
+                             ids=["unfused", "fused"])
     @given(spec=windows())
     @settings(max_examples=15, deadline=None)
     def test_window_plus_seeded_tails_match_independent(
-            self, fusion, spec, small_ring, small_evaluator, blobs):
+            self, fuse, spec, small_ring, small_evaluator, blobs):
         common, jobs = spec
-        config = PlannerConfig.from_ring(small_ring)
-        if fusion is not None:
-            config = dataclasses.replace(config, fuse_rotate_reduce=True,
-                                         fusion_moddown=fusion)
+        config = dataclasses.replace(PlannerConfig.from_ring(small_ring),
+                                     fuse_rotate_reduce=fuse)
         n_slots = small_ring.params.slots_max
         try:
             plans = [plan_program(build(common + own, n_slots, f"j{i}"),
@@ -215,8 +214,7 @@ class TestWindowShape:
 
     def test_identical_fused_trees_share_whole(self, small_ring):
         plans = self._plans(small_ring, [stencil([1, 2])] * 2,
-                            fuse_rotate_reduce=True,
-                            fusion_moddown="stacked")
+                            fuse_rotate_reduce=True)
         assert plans[0].fusions
         window = merge_window([(p, plan_keys(p), {"x": "blob"})
                                for p in plans])

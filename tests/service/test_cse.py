@@ -134,23 +134,32 @@ class TestCrossJobCse:
 
 
 class TestServedFusion:
-    def test_stacked_fusion_byte_identical_through_server(
+    def test_fused_outputs_byte_identical_across_coalescing(
             self, cse_server, make_client):
+        """Under ``optimize=True``, window sharing never moves a bit."""
         blob = make_client("alice", 11).encrypt_blob(VEC)  # one blob
+        amounts = [(1, 2)] * 2 + [(2, 3), (1, 3)]
         outputs = {}
-        for optimize in (False, True):
+        for coalesce in (True, False):
             server, client = cse_server(config=ServiceConfig(
-                optimize=optimize, fusion_moddown="stacked",
-                max_batch=8))
-            [result] = server.serve([JobRequest(
-                "alice", stencil_program([1, 2]), {"x": blob})])
-            outputs[optimize] = result.outputs["out"]
+                optimize=True, coalesce=coalesce, max_batch=8,
+                batch_window_s=0.05))
+            results = server.serve([
+                JobRequest("alice", stencil_program(list(a), name=f"j{i}"),
+                           {"x": blob}) for i, a in enumerate(amounts)])
+            if coalesce:
+                assert any(r.cse_seeded for r in results)
+            for result, amts in zip(results, amounts):
+                got = client.decrypt_blob(result.outputs["out"])
+                ref = stencil_reference(VEC, list(amts))
+                assert np.max(np.abs(got - ref)) < 1e-6
+            outputs[coalesce] = [r.outputs["out"] for r in results]
             server.shutdown()
         assert outputs[True] == outputs[False]
 
     def test_single_moddown_fusion_decrypts_correctly(self, cse_server):
         server, client = cse_server(config=ServiceConfig(
-            optimize=True, fusion_moddown="single", max_batch=8))
+            optimize=True, max_batch=8))
         amounts = [1, 2, 3]
         [result] = server.serve([JobRequest(
             "alice", stencil_program(amounts),
@@ -162,8 +171,7 @@ class TestServedFusion:
 
     def test_fusion_composes_with_cse(self, cse_server):
         server, client = cse_server(config=ServiceConfig(
-            optimize=True, fusion_moddown="single", coalesce=True,
-            max_batch=8))
+            optimize=True, coalesce=True, max_batch=8))
         results = submit_identical(server, client, count=3)
         assert all(r.cse_seeded for r in results)
         assert server.scheduler.stats()["cse_reuses"] == 2
@@ -177,6 +185,7 @@ class TestWindowPlan:
                                        monkeypatch):
         """4 copies of one stencil + 3 distinct ones over one blob pay a
         single raise, byte-identical to running every job alone."""
+        import repro.ckks.evaluator as evaluator
         import repro.ckks.keyswitch as keyswitch
 
         raises = []
@@ -186,7 +195,8 @@ class TestWindowPlan:
             raises.append(level)
             return real(poly, level, ring)
 
-        monkeypatch.setattr(keyswitch, "raise_decomposition", counting)
+        for module in (keyswitch, evaluator):
+            monkeypatch.setattr(module, "raise_decomposition", counting)
         blob = make_client("alice", 11).encrypt_blob(VEC)
         amounts = [(1, 2)] * 4 + [(2, 3), (4, 5), (1, 6)]
         outputs = {}
