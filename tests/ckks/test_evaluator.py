@@ -397,11 +397,15 @@ class TestScalarColumnOracle:
         want.scale = 2.0 ** 40
         _assert_same(got, want)
 
+    @pytest.mark.parametrize("mode", ["single", "stacked"])
     def test_rotate_reduce_scalar_weights_match_oracle(
-            self, small_evaluator, small_ring, fresh_ct, monkeypatch):
+            self, small_evaluator, small_ring, fresh_ct, monkeypatch,
+            mode):
+        # "single": one rotate_reduce group; "stacked": two groups sharing
+        # one raise and one mod_down_many call, as the BSGS giant steps do.
         terms = [ReduceTerm(0, 1, 0.75), ReduceTerm(1, -1, -2.5),
                  ReduceTerm(None, 1, 1e-3), ReduceTerm(4, 1, 3.0 + 0j)]
-        got = small_evaluator.rotate_reduce(fresh_ct, terms)
+        got = _reduce_groups(small_evaluator, fresh_ct, terms, mode)
         # Force every real weight back through the oracle encoding.
         monkeypatch.setattr(Encoder, "scalar_columns",
                             lambda self, value, scale, base: None)
@@ -409,8 +413,23 @@ class TestScalarColumnOracle:
             Encoder, "encode_scalar",
             lambda self, value, scale, base: constant_plaintext_oracle(
                 small_ring, complex(value).real, scale, base))
-        want = small_evaluator.rotate_reduce(fresh_ct, terms)
-        _assert_same(got, want)
+        want = _reduce_groups(small_evaluator, fresh_ct, terms, mode)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+
+
+def _reduce_groups(ev, ct, terms, mode) -> list[Ciphertext]:
+    """``terms`` reduced as one group, or split in two stacked groups."""
+    if mode == "single":
+        return [ev.rotate_reduce(ct, terms)]
+    base_qp = ev.ring.base_qp(ct.level)
+    scale = float(ev.ring.q_primes[ct.level].value)
+    groups = [[(t.amount, t.sign, ev._weight_multiplier(t.weight, scale,
+                                                         base_qp))
+               for t in half] for half in (terms[:2], terms[2:])]
+    pairs = ev.lazy_galois(ct, [t.amount for t in terms])
+    return ev.lazy_sums(ct, pairs, groups, ct.scale * scale)
 
 
 class TestLazyAccumulator:
