@@ -230,8 +230,14 @@ def rotation_fusion_tallies(ev, ct) -> dict:
     return {"unfused_ntt_domain": unfused, "fused_single": fused}
 
 
+#: Jobs per served window, and the worker-pool sizes the unbatched
+#: window is timed at (the served-throughput worker-scaling curve).
+SERVICE_WINDOW = 8
+SERVICE_WORKERS = (1, 2, 4)
+
+
 def bench_service(ring, reps: int
-                  ) -> tuple[dict[str, tuple[float, int]], dict]:
+                  ) -> tuple[dict[str, tuple[float, int]], dict, dict]:
     """Serving-layer kernels: wire round-trip and scheduler throughput.
 
     ``service_roundtrip`` serializes + deserializes one full-level
@@ -250,7 +256,11 @@ def bench_service(ring, reps: int
     bit for bit), so their ratio is a pure scheduling win.  The batched
     server runs with admission pricing on, and its calibration summary
     (actual/estimate ratios per plan) is returned alongside the kernels
-    for the benchmark payload.
+    for the benchmark payload.  The unbatched window is timed at each
+    pool size in :data:`SERVICE_WORKERS`; the third result maps workers
+    to served jobs per second (the worker-scaling curve).  Only the
+    one-worker time is a gated kernel: thread scheduling on shared
+    runners is too noisy for the regression gate.
     """
     from repro import obs
     from repro.runtime import Program
@@ -295,23 +305,28 @@ def bench_service(ring, reps: int
         return prog
 
     requests = [JobRequest("bench", make_program(i), {"x": blob})
-                for i in range(8)]
+                for i in range(SERVICE_WINDOW)]
     calibration: dict = {}
-    for label, coalesce in (("service_throughput_batched", True),
-                            ("service_throughput_unbatched", False)):
+    scaling: dict = {}
+    configs = [("service_throughput_batched", True, 1)] + [
+        ("service_throughput_unbatched", False, w) for w in SERVICE_WORKERS]
+    for label, coalesce, workers in configs:
         server = FheServer(params, ServiceConfig(
-            workers=1, max_batch=8, coalesce=coalesce,
+            workers=workers, max_batch=SERVICE_WINDOW, coalesce=coalesce,
             max_job_seconds=1.0), ring=ring)
         server.open_session("bench")
         server.register_keys("bench", relin=client.relin_blob(),
                              galois=client.galois_blob(
                                  ROTATION_BATCH_AMOUNTS))
-        out[label] = (_median_seconds(lambda: server.serve(requests),
-                                      reps), reps)
+        seconds = _median_seconds(lambda: server.serve(requests), reps)
+        if workers == 1:
+            out[label] = (seconds, reps)
         if coalesce:
             calibration = server.scheduler.calibration.summary()
+        else:
+            scaling[str(workers)] = round(SERVICE_WINDOW / seconds, 2)
         server.shutdown()
-    return out, calibration
+    return out, calibration, scaling
 
 
 def bench_precision_calibration(ring, kg, ev, smoke: bool) -> dict:
@@ -601,7 +616,7 @@ def main() -> None:
                                         max(1, reps if args.smoke
                                             else reps // 2)))
     fusion_tallies = rotation_fusion_tallies(ev, ct)
-    service_kernels, service_calibration = bench_service(
+    service_kernels, service_calibration, worker_scaling = bench_service(
         ring, max(1, reps if args.smoke else reps // 2))
     kernels.update(service_kernels)
     precision_calibration = bench_precision_calibration(
@@ -620,7 +635,10 @@ def main() -> None:
                  # which modmath dispatch path produced these medians —
                  # a baseline recorded under one backend must only gate
                  # runs of the same backend
-                 "modmath_backend": active_backend()},
+                 "modmath_backend": active_backend(),
+                 # the batched-NTT engine those medians ran on: "native"
+                 # (one C call per transform), "stockham" or "per-limb"
+                 "ntt_route": ring.batched_ntt(full_base).route},
         "kernels": {name: {"median_s": round(value, 6), "reps": used}
                     for name, (value, used) in kernels.items()},
         # static per-stage NumPy-dispatch / matrix-pass tallies of the
@@ -632,6 +650,9 @@ def main() -> None:
         # rotation_batch_fused / rotation_batch_ntt_domain pairing,
         # immune to runner wall-clock noise
         "rotation_fusion_tallies": fusion_tallies,
+        # served jobs/s of one unbatched 8-job window at 1, 2 and 4 pool
+        # workers (the GIL is released only inside native kernels)
+        "worker_scaling": worker_scaling,
         # actual/estimate ratio stats per plan for the batched-throughput
         # server (admission pricing on): the simulator-to-host gap the
         # serving deadline multiplier must absorb, stamped per run.

@@ -8,6 +8,14 @@ honest: when a compiler or cffi is missing, the platform lacks
 returns ``None`` and :mod:`repro.ckks.modmath` keeps running on the
 pure-NumPy path that doubles as the bit-identity oracle.
 
+The kernel set: the strided element-wise primitives behind
+:mod:`repro.ckks.modmath` (``nm_mulhi64``, ``nm_mul128``,
+``nm_mul_mod``, ``nm_barrett_reduce128``, ``nm_mul_mod_shoup``,
+``nm_mul_mod_add``), the fused BConv accumulate-reduce ``nm_bconv``,
+and the whole-transform batched NTTs ``nm_ntt_forward`` /
+``nm_ntt_inverse`` that :class:`~repro.ckks.ntt.BatchedNttContext`
+calls once per transform.
+
 Backend selection is owned by :mod:`repro.ckks.modmath` (the
 ``REPRO_MODMATH_BACKEND`` env var / :func:`~repro.ckks.modmath.set_backend`);
 this module only answers "can a working library be produced, and hand me
@@ -37,7 +45,7 @@ from pathlib import Path
 
 #: Must match NM_ABI_VERSION in modmath_native.c; bump both when the
 #: kernel set or any signature changes.
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 _SRC = Path(__file__).with_name("modmath_native.c")
 
@@ -74,13 +82,6 @@ void nm_mul_mod_shoup(int64_t ndim, const int64_t *dims,
                       const char *ws, const int64_t *sws,
                       const char *m, const int64_t *sm,
                       int64_t lazy);
-void nm_shoup4(int64_t ndim, const int64_t *dims,
-               char *out, const int64_t *so,
-               const char *v, const int64_t *sv,
-               const char *w, const int64_t *sw,
-               const char *s_lo, const int64_t *ssl,
-               const char *s_hi, const int64_t *ssh,
-               const char *m, const int64_t *sm);
 void nm_mul_mod_add(int64_t ndim, const int64_t *dims,
                     char *out, const int64_t *so,
                     const char *acc, const int64_t *sacc,
@@ -92,6 +93,14 @@ void nm_bconv(int64_t dst, int64_t src, int64_t n,
               uint64_t *out, const uint64_t *terms, const uint64_t *cross,
               const uint64_t *m, const uint64_t *mu_hi,
               const uint64_t *mu_lo);
+void nm_ntt_forward(int64_t rows, int64_t limbs, int64_t n, uint64_t *a,
+                    const uint64_t *psi, const uint64_t *psi_shoup,
+                    const uint64_t *mods);
+void nm_ntt_inverse(int64_t rows, int64_t limbs, int64_t n, uint64_t *a,
+                    const uint64_t *ipsi, const uint64_t *ipsi_shoup,
+                    const uint64_t *n_inv, const uint64_t *n_inv_shoup,
+                    const uint64_t *merged, const uint64_t *merged_shoup,
+                    const uint64_t *mods);
 """
 
 

@@ -11,12 +11,19 @@
  * (mul_mod_shoup_lazy), so both backends agree bit for bit, not merely
  * modulo q.
  *
- * Iteration model: the Python wrapper broadcasts every operand to the
- * output shape (broadcast axes become stride 0) and passes per-operand
- * byte strides.  Kernels walk an odometer over the outer dimensions and
- * run a strided inner loop over the last axis, so arbitrary NumPy views
- * (column constants, tiled twiddle planes, transposed slabs) work
- * without copies.  ndim is capped at NM_MAX_NDIM.
+ * Kernel set: the element-wise primitives (mulhi64, mul128, mul_mod,
+ * barrett_reduce128, mul_mod_shoup, mul_mod_add), the fused BConv
+ * accumulate-reduce (bconv) and the whole negacyclic NTTs over a
+ * residue matrix (ntt_forward, ntt_inverse: every stage of every row in
+ * one call).
+ *
+ * Iteration model of the element-wise primitives: the Python wrapper
+ * broadcasts every operand to the output shape (broadcast axes become
+ * stride 0) and passes per-operand byte strides.  Kernels walk an
+ * odometer over the outer dimensions and run a strided inner loop over
+ * the last axis, so arbitrary NumPy views (column constants, tiled
+ * planes, transposed slabs) work without copies.  ndim is capped at
+ * NM_MAX_NDIM.  bconv and the NTTs take C-contiguous matrices instead.
  *
  * Build: any C compiler with unsigned __int128 (gcc/clang on 64-bit
  * targets).  No Python.h, no NumPy headers — the library is loaded via
@@ -34,7 +41,7 @@ typedef unsigned __int128 u128;
 
 /* ABI version stamp: the loader refuses a stale shared object whose
  * kernel set no longer matches the cdef it was compiled against. */
-#define NM_ABI_VERSION 3
+#define NM_ABI_VERSION 4
 
 i64 nm_abi_version(void) { return NM_ABI_VERSION; }
 
@@ -235,43 +242,6 @@ void nm_mul_mod_shoup(i64 ndim, const i64 *dims,
     } while (nm_step(ndim, dims, idx));
 }
 
-/* ----- exact _shoup4 (Stockham butterfly multiply) -------------------- *
- * The NumPy engine's 3-multiply approximation drops two partial
- * products and lands in [0, 4m); here the full 64x64 high half is one
- * instruction, so the exact Harvey quotient is free and the result
- * stays below 2m, inside the 4m bound the Stockham plan is sized for.
- * This is the native fast path of every plan's butterfly multiply.
- * s_lo/s_hi are the split 32-bit halves of the Shoup constant, exactly
- * as the plan tables store them.                                        */
-
-void nm_shoup4(i64 ndim, const i64 *dims,
-               char *out, const i64 *so,
-               const char *v, const i64 *sv,
-               const char *w, const i64 *sw,
-               const char *s_lo, const i64 *ssl,
-               const char *s_hi, const i64 *ssh,
-               const char *m, const i64 *sm) {
-    i64 idx[NM_MAX_NDIM] = {0};
-    const i64 inner = dims[ndim - 1];
-    const i64 oi = so[ndim - 1], vi = sv[ndim - 1], wi = sw[ndim - 1];
-    const i64 sli = ssl[ndim - 1], shi = ssh[ndim - 1], mi = sm[ndim - 1];
-    do {
-        char *po = (char *)nm_off(out, so, idx, ndim);
-        const char *pv = nm_off(v, sv, idx, ndim);
-        const char *pw = nm_off(w, sw, idx, ndim);
-        const char *pl = nm_off(s_lo, ssl, idx, ndim);
-        const char *ph = nm_off(s_hi, ssh, idx, ndim);
-        const char *pm = nm_off(m, sm, idx, ndim);
-        for (i64 c = 0; c < inner; c++) {
-            const u64 vv = NM_RD(pv, vi, c);
-            const u64 s = NM_RD(pl, sli, c) | (NM_RD(ph, shi, c) << 32);
-            u64 q = nm_mulhi(vv, s);
-            NM_WR(po, oi, c) = vv * NM_RD(pw, wi, c)
-                - q * NM_RD(pm, mi, c);
-        }
-    } while (nm_step(ndim, dims, idx));
-}
-
 /* ----- fused multiply-accumulate: out = (acc + a*b mod m) mod m ------- *
  * The evk inner-product step of key switching: one pass instead of a
  * mul_mod pass plus an add_mod pass.  acc must be canonical; output is
@@ -335,6 +305,95 @@ void nm_bconv(i64 dst, i64 src, i64 n,
                 acc += (u128)terms[j * n + c] * cr[j];
             row[c] = nm_barrett128((u64)(acc >> 64), (u64)acc,
                                    mv, mh, ml);
+        }
+    }
+}
+
+/* ----- whole negacyclic NTTs over a residue matrix -------------------- *
+ * a is a C-contiguous (rows, n) matrix transformed in place; row r uses
+ * limb r % limbs, so a (..., limbs, n) stack of polynomials over one
+ * base is one call.  The twiddle tables are the per-prime NttContext
+ * tables stacked as C-contiguous (limbs, n) matrices: psi^brv(i) and its
+ * Shoup constant floor(w * 2^64 / m).  Every butterfly multiply uses the
+ * exact Shoup quotient (one 64x64 high half), so w*y - q*m lands in
+ * [0, 2m) for any y < 2^64.  Both directions follow Harvey's lazy
+ * butterflies and need only m < 2^62 (4m fits a word), which Modulus
+ * already enforces.  Outputs are canonical, hence bit-identical to the
+ * per-prime oracle and to the NumPy Stockham engine.  No scratch is
+ * shared between calls, so concurrent calls on distinct outputs are
+ * safe with the GIL released.                                          */
+
+static inline u64 nm_shoup_lazy(u64 y, u64 w, u64 ws, u64 m) {
+    return y * w - nm_mulhi(y, ws) * m;          /* in [0, 2m) */
+}
+
+/* Cooley-Tukey, natural order in, bit-reversed out.  Inputs below 4m,
+ * operands stay below 4m through every stage, one final reduction.    */
+void nm_ntt_forward(i64 rows, i64 limbs, i64 n, u64 *a,
+                    const u64 *psi, const u64 *psi_shoup, const u64 *mods) {
+    for (i64 r = 0; r < rows; r++) {
+        const i64 l = r % limbs;
+        const u64 m = mods[l], m2 = 2 * m;
+        const u64 *w = psi + l * n, *ws = psi_shoup + l * n;
+        u64 *x = a + r * n;
+        for (i64 blocks = 1, t = n / 2; blocks < n; blocks *= 2, t /= 2) {
+            for (i64 i = 0; i < blocks; i++) {
+                const u64 wi = w[blocks + i], wsi = ws[blocks + i];
+                u64 *lo = x + 2 * i * t, *hi = lo + t;
+                for (i64 j = 0; j < t; j++) {
+                    u64 u = lo[j];
+                    if (u >= m2) u -= m2;
+                    const u64 v = nm_shoup_lazy(hi[j], wi, wsi, m);
+                    lo[j] = u + v;
+                    hi[j] = u - v + m2;
+                }
+            }
+        }
+        for (i64 j = 0; j < n; j++) {
+            u64 u = x[j];
+            if (u >= m2) u -= m2;
+            if (u >= m) u -= m;
+            x[j] = u;
+        }
+    }
+}
+
+/* Gentleman-Sande, bit-reversed in, natural order out.  Inputs below 2m,
+ * operands stay below 2m; the last stage folds in n^-1 (n_inv on the
+ * sum branch, merged = psi_inv_rev[1] * n_inv on the difference branch)
+ * and reduces to canonical form.                                       */
+void nm_ntt_inverse(i64 rows, i64 limbs, i64 n, u64 *a,
+                    const u64 *ipsi, const u64 *ipsi_shoup,
+                    const u64 *n_inv, const u64 *n_inv_shoup,
+                    const u64 *merged, const u64 *merged_shoup,
+                    const u64 *mods) {
+    const i64 h = n / 2;
+    for (i64 r = 0; r < rows; r++) {
+        const i64 l = r % limbs;
+        const u64 m = mods[l], m2 = 2 * m;
+        const u64 *w = ipsi + l * n, *ws = ipsi_shoup + l * n;
+        u64 *x = a + r * n;
+        for (i64 blocks = h, t = 1; blocks > 1; blocks /= 2, t *= 2) {
+            for (i64 i = 0; i < blocks; i++) {
+                const u64 wi = w[blocks + i], wsi = ws[blocks + i];
+                u64 *lo = x + 2 * i * t, *hi = lo + t;
+                for (i64 j = 0; j < t; j++) {
+                    const u64 u = lo[j], v = hi[j];
+                    u64 s = u + v;
+                    if (s >= m2) s -= m2;
+                    lo[j] = s;
+                    hi[j] = nm_shoup_lazy(u - v + m2, wi, wsi, m);
+                }
+            }
+        }
+        const u64 ni = n_inv[l], nis = n_inv_shoup[l];
+        const u64 mg = merged[l], mgs = merged_shoup[l];
+        for (i64 j = 0; j < h; j++) {
+            const u64 u = x[j], v = x[j + h];
+            u64 s = nm_shoup_lazy(u + v, ni, nis, m);
+            u64 d = nm_shoup_lazy(u - v + m2, mg, mgs, m);
+            x[j] = s >= m ? s - m : s;
+            x[j + h] = d >= m ? d - m : d;
         }
     }
 }

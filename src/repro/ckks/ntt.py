@@ -2,8 +2,8 @@
 
 This is the functional counterpart of the BTS NTTU (Section 5.1): the
 accelerator decomposes the same transform into a 3D schedule across 2,048
-processing elements; here we run the textbook iterative algorithm,
-vectorized per stage with NumPy.
+processing elements; here the textbook iterative algorithm runs either
+as one native call per transform or vectorized per stage with NumPy.
 
 Forward transform: Cooley-Tukey butterflies, natural-order input,
 bit-reversed output.  Inverse: Gentleman-Sande, bit-reversed input,
@@ -13,40 +13,43 @@ bit-reversal permutation is needed (the standard Longa-Naehrig trick).
 Twiddle factors merge the 2N-th root ``psi`` so the transform is natively
 negacyclic.
 
-Performance notes (radix-4 Stockham engine)
--------------------------------------------
+Performance notes (batched engines)
+-----------------------------------
 
 The BTS NTTU processes every RNS limb with the same butterfly network,
 one modulus per lane.  :class:`BatchedNttContext` is the software
-analogue: the per-prime twiddle/Shoup tables of a whole base are stacked
-into ``(num_limbs, n)`` arrays and each butterfly stage runs *once*
-across the full ``(num_limbs, n)`` residue matrix.  The per-prime
-:class:`NttContext` is retained both as the builder of the tables and as
-the scalar reference implementation the batched engine is tested
-bit-identical against: both compute the exact same canonical residues
-in the same (bit-reversed) order, so outputs agree bit for bit, not
-merely modulo q.  A ``(..., num_limbs, n)`` input stacks several
-polynomials over the same base along leading axes; the base's tables
-broadcast over them, so a stack of ``r`` polynomials costs one call and
-no ``r``-fold copy of the tables.
+analogue: it transforms a whole ``(num_limbs, n)`` residue matrix per
+call.  The per-prime :class:`NttContext` is retained both as the builder
+of the tables and as the scalar reference implementation every batched
+route is tested bit-identical against: all compute the exact same
+canonical residues in the same (bit-reversed) order, so outputs agree
+bit for bit, not merely modulo q.  A ``(..., num_limbs, n)`` input
+stacks several polynomials over the same base along leading axes; the
+base's tables serve all of them, so a stack of ``r`` polynomials costs
+one call and no ``r``-fold copy of the tables.
 
-The batched engine is :class:`_StockhamPlan`, a radix-4 Stockham
-auto-sort transform over ping-pong buffers.  The residue matrix lives
-transposed per stage as ``(limbs, h, B)`` (``B`` transform blocks of
-``h`` coefficients each in the columns), so every butterfly reads
-contiguous row slabs and two radix-2 stages fuse into one radix-4 pass
-whose intermediates stay in scratch.  Twiddles come from precomputed
-per-stage *planes* (the per-block twiddle pattern pre-tiled along the
-contiguous axis together with the split halves of its Shoup companion),
-which keeps every NumPy inner loop unit-stride — the profiled cost of
-the previous layout was dominated by stride-0 broadcast loops and
-32-bit-view upcasts, not by arithmetic.  The butterfly multiply uses a
-3-multiply approximate high-half (the ``a0*b0`` plane of the 128-bit
-product is dropped, costing at most 2 on the Shoup quotient), so lazy
-residues stay below ``4m`` and one conditional-subtraction chain
-normalizes the matrix at the end.
+Under the native modmath backend a transform is **one C call**
+(``nm_ntt_forward`` / ``nm_ntt_inverse``) running every stage of every
+row: Harvey lazy butterflies with exact Shoup quotients, valid for any
+modulus below ``2**62``.  The base's ``NttContext`` tables are stacked
+into contiguous ``(limbs, n)`` arrays and their pointers cast once per
+base (:class:`_NativeTables`); a call copies the input into a fresh
+contiguous output and transforms it in place with the GIL released.
 
-Bases whose moduli are too wide for those lazy bounds (see
+Under NumPy the engine is :class:`_StockhamPlan`, a radix-4 Stockham
+auto-sort transform over ping-pong buffers, built the first time the
+NumPy route needs it.  The residue matrix lives transposed per stage as
+``(limbs, h, B)`` (``B`` transform blocks of ``h`` coefficients each in
+the columns), so every butterfly reads contiguous row slabs and two
+radix-2 stages fuse into one radix-4 pass whose intermediates stay in
+scratch.  Twiddles come from precomputed per-stage *planes* (the
+per-block twiddle pattern pre-tiled along the contiguous axis together
+with the split halves of its Shoup companion), which keeps every NumPy
+inner loop unit-stride.  The butterfly multiply uses a 3-multiply
+approximate high-half (the ``a0*b0`` plane of the 128-bit product is
+dropped, costing at most 2 on the Shoup quotient), so lazy residues stay
+below ``4m`` and one conditional-subtraction chain normalizes the matrix
+at the end.  Bases whose moduli are too wide for those lazy bounds (see
 :func:`stockham_gate`; about 58.5 bits at ``N = 2^11``) get no plan and
 run the per-prime oracle row by row.  No shipped parameter set builds
 such a base.
@@ -55,7 +58,7 @@ such a base.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,8 +66,6 @@ from repro.ckks.modmath import (
     Modulus,
     ModulusVector,
     _active_native,
-    _native_ok,
-    _nm_call,
     add_mod,
     inv_mod,
     mul_mod_shoup,
@@ -244,21 +245,10 @@ def _shoup4(v: np.ndarray, w: np.ndarray, s_lo: np.ndarray,
     the wrapping remainder lands in ``[0, 4m)`` for *any* ``v < 2**64``.
     Three plain ``uint64`` multiplies replace the exact
     :func:`~repro.ckks.modmath.mulhi64` ladder, whose 32-bit-view
-    upcasting costs ~3x a native 64-bit multiply per pass.
-
-    Under the native modmath backend this dispatches to ``nm_shoup4``,
-    which recombines the Shoup halves and computes the *exact* quotient
-    with a real 128-bit multiply — the result then lands in ``[0, 2m)``
-    for any ``v < 2**64``, which is inside the ``4m`` bound the plan
-    is sized for.  Lazy intermediates therefore differ between
-    backends, but both are congruent mod ``m`` and the end-of-transform
-    normalization chain maps them to the same canonical residues, so
-    transform outputs stay bit-identical.
+    upcasting costs ~3x a native 64-bit multiply per pass.  Only the
+    NumPy route runs it: under the native backend the whole transform
+    is one call into ``nm_ntt_forward`` / ``nm_ntt_inverse``.
     """
-    h = _active_native()
-    if h is not None and _native_ok(out):
-        _nm_call(h, "nm_shoup4", (out,), (v, w, s_lo, s_hi, m))
-        return out
     sh = v.shape
     v0 = np.bitwise_and(v, _MASK32_U64, out=workspace_buffer("stk.v0", sh))
     v1 = np.right_shift(v, np.uint64(32), out=workspace_buffer("stk.v1", sh))
@@ -278,7 +268,7 @@ def _shoup4(v: np.ndarray, w: np.ndarray, s_lo: np.ndarray,
 #: NumPy dispatches issued by one ``_shoup4`` call.
 _SHOUP4_OPS = 12
 
-#: ``_shoup4`` products lie in ``[0, _LAZY_BOUND * m)`` on either backend.
+#: ``_shoup4`` products lie in ``[0, _LAZY_BOUND * m)``.
 _LAZY_BOUND = 4
 
 
@@ -289,8 +279,9 @@ def stockham_gate(n: int, max_modulus: int) -> bool:
     butterflies add a ``4m`` offset, so forward residues grow
     additively by at most ``4m`` per radix-2 stage: the final bound
     ``(4 * log2(n) + 1) * m`` must fit a word.  The inverse needs
-    ``8m < 2**64`` for its add branch.  Bases outside the gate run the
-    per-prime :class:`NttContext` oracle row by row.
+    ``8m < 2**64`` for its add branch.  On the NumPy route, bases
+    outside the gate run the per-prime :class:`NttContext` oracle row by
+    row; the native kernels hold for any modulus below ``2**62``.
     """
     k = n.bit_length() - 1
     return ((_LAZY_BOUND * k + 1) * max_modulus < (1 << 64)
@@ -610,24 +601,73 @@ def _tally(stages: list[tuple[str, int, float]]) -> dict:
     }
 
 
+class _NativeTables:
+    """One base's :class:`NttContext` tables, stacked for the C kernels.
+
+    Contiguous ``(limbs, n)`` twiddle matrices plus per-limb ``n^-1`` and
+    merged last-stage constants (``psi_inv_rev[1] * n^-1``), each with
+    its Shoup companion.  The pointers are cast once here, so a
+    transform costs one contiguous copy into a fresh output and one call.
+    """
+
+    def __init__(self, handle, contexts: tuple[NttContext, ...],
+                 moduli: ModulusVector) -> None:
+        self.lib, self.ffi = handle.lib, handle.ffi
+        self.n = contexts[0].n
+        self.limbs = len(contexts)
+        merged = np.array(
+            [[(int(c.psi_inv_rev[1]) * int(c.n_inv)) % c.modulus.value]
+             for c in contexts], dtype=np.uint64)
+        tables = (
+            [c.psi_rev for c in contexts],
+            [c.psi_rev_shoup for c in contexts],
+            [c.psi_inv_rev for c in contexts],
+            [c.psi_inv_rev_shoup for c in contexts],
+            [c.n_inv for c in contexts],
+            [c.n_inv_shoup for c in contexts],
+            merged.ravel(),
+            shoup_precompute(merged, moduli).ravel(),
+            moduli.u64.ravel(),
+        )
+        # the arrays must outlive every call through the cast pointers
+        self._arrays = [np.ascontiguousarray(np.stack(t), dtype=np.uint64)
+                        for t in tables]
+        psi, psi_sh, ipsi, ipsi_sh, ninv, ninv_sh, mg, mg_sh, mods = (
+            self.ffi.cast("const uint64_t *", t.ctypes.data)
+            for t in self._arrays)
+        self._forward = (psi, psi_sh, mods)
+        self._inverse = (ipsi, ipsi_sh, ninv, ninv_sh, mg, mg_sh, mods)
+
+    def _run(self, kernel, tables, a: np.ndarray) -> np.ndarray:
+        out = np.array(a, dtype=np.uint64, order="C")  # fresh, contiguous
+        kernel(out.size // self.n, self.limbs, self.n,
+               self.ffi.cast("uint64_t *", out.ctypes.data), *tables)
+        return out
+
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        return self._run(self.lib.nm_ntt_forward, self._forward, a)
+
+    def inverse(self, a: np.ndarray) -> np.ndarray:
+        return self._run(self.lib.nm_ntt_inverse, self._inverse, a)
+
+
 @dataclass(frozen=True)
 class BatchedNttContext:
     """One butterfly network running each stage across all limbs.
 
-    ``forward`` / ``inverse`` transform a whole ``(num_limbs, n)``
+    ``forward`` / ``inverse`` transform a whole ``(..., num_limbs, n)``
     residue matrix per call — the software counterpart of the NTTU
-    applying the same stage to every RNS lane simultaneously.  Bases
-    inside :func:`stockham_gate` run the radix-4 Stockham plan; wider
-    bases (``plan is None``) run the per-prime contexts row by row.
-    Outputs are bit-identical either way.
+    applying the same stage to every RNS lane simultaneously.  Under the
+    native modmath backend that is one C call per transform, for any
+    base.  Under NumPy, bases inside :func:`stockham_gate` run the
+    radix-4 Stockham plan and wider bases (``plan is None``) run the
+    per-prime contexts row by row.  Outputs are bit-identical on every
+    route.
     """
 
     moduli: ModulusVector
     n: int
     contexts: tuple[NttContext, ...]
-    #: Radix-4 Stockham schedule, or None when the moduli are too wide
-    #: for its lazy bounds (see :func:`stockham_gate`).
-    plan: "_StockhamPlan | None"
 
     @classmethod
     def from_contexts(cls, contexts: tuple[NttContext, ...]
@@ -638,9 +678,30 @@ class BatchedNttContext:
         if any(c.n != n for c in contexts):
             raise ValueError("all limbs must share the same ring degree")
         moduli = ModulusVector([c.modulus for c in contexts])
-        plan = (_StockhamPlan(contexts, moduli)
-                if stockham_gate(n, max(moduli.values)) else None)
-        return cls(moduli=moduli, n=n, contexts=tuple(contexts), plan=plan)
+        return cls(moduli=moduli, n=n, contexts=tuple(contexts))
+
+    @cached_property
+    def plan(self) -> "_StockhamPlan | None":
+        """The NumPy route's Stockham schedule, built on first use.
+
+        ``None`` when the moduli are too wide for its lazy bounds (see
+        :func:`stockham_gate`).  The native route never reads it, so a
+        native process does not pay for its twiddle planes.
+        """
+        if not stockham_gate(self.n, max(self.moduli.values)):
+            return None
+        return _StockhamPlan(self.contexts, self.moduli)
+
+    @cached_property
+    def _native(self) -> _NativeTables:
+        return _NativeTables(_active_native(), self.contexts, self.moduli)
+
+    @property
+    def route(self) -> str:
+        """Engine of the next transform: native, stockham or per-limb."""
+        if _active_native() is not None:
+            return "native"
+        return "per-limb" if self.plan is None else "stockham"
 
     @property
     def num_limbs(self) -> int:
@@ -665,19 +726,25 @@ class BatchedNttContext:
         share its tables, so no wider context is built for them.
         """
         self._check_shape(a)
-        if self.plan is None:
+        native = _active_native() is not None
+        if not native and self.plan is None:
             return self._per_limb(a, "forward")
         if _obs_kernel._ENABLED:
             _obs_kernel.TALLY.ntt_forward += a.size // self.n
+        if native:
+            return self._native.forward(a)
         return self.plan.forward(a)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """Batched inverse NTT of ``(..., num_limbs, n)`` residues."""
         self._check_shape(a)
-        if self.plan is None:
+        native = _active_native() is not None
+        if not native and self.plan is None:
             return self._per_limb(a, "inverse")
         if _obs_kernel._ENABLED:
             _obs_kernel.TALLY.ntt_inverse += a.size // self.n
+        if native:
+            return self._native.inverse(a)
         return self.plan.inverse(a)
 
 

@@ -220,7 +220,8 @@ class TestBatchedNtt:
 
 
 class TestWideBaseOracleRoute:
-    """Bases outside the 4m Stockham gate run the per-prime oracle."""
+    """Bases outside the 4m Stockham gate: per-prime oracle under NumPy,
+    the one-call kernel under native."""
 
     N = 256
 

@@ -5,10 +5,14 @@ or an exact lazy representative), so the compiled backend must agree
 with the pure-NumPy path bit for bit — on contiguous planes, strided
 views, broadcasts, scalar and vector moduli, and through every layer
 that inherits the dispatch (NTT, BConv, key-switching, full HMult).
+The one-call native batched NTT is held to the per-limb ``NttContext``
+oracle and to the NumPy Stockham plan the same way.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -31,7 +35,9 @@ from repro.ckks.modmath import (
     set_backend,
     shoup_precompute,
 )
-from tests.conftest import encrypt_message
+from repro.ckks.ntt import batched_ntt_context
+from tests.conftest import encrypt_message, ntt_limbs, ntt_oracle, \
+    ntt_residues
 
 needs_native = pytest.mark.skipif(
     "native" not in available_backends(),
@@ -230,3 +236,110 @@ class TestBackendFixture:
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
         got = small_evaluator.decrypt_to_message(ct, small_keys.secret)
         assert np.max(np.abs(got - z)) < 1e-7
+
+
+@needs_native
+class TestNativeBatchedNtt:
+    """One native call per transform, bit-identical to both oracles."""
+
+    @pytest.mark.parametrize("exp", [4, 5, 9, 12])
+    @pytest.mark.parametrize("wide", [False, True], ids=["gated", "wide"])
+    def test_matches_oracle_and_numpy_route(self, exp, wide):
+        ctxs = ntt_limbs(1 << exp, wide)
+        batched = batched_ntt_context(ctxs)
+        assert (batched.plan is None) == wide
+        a = ntt_residues(ctxs, np.random.default_rng(exp))
+        ref_f, got_f = _under_both(lambda: batched.forward(a))
+        assert np.array_equal(got_f, ntt_oracle(ctxs, a, "forward"))
+        assert np.array_equal(got_f, ref_f)
+        ref_i, got_i = _under_both(lambda: batched.inverse(got_f))
+        assert np.array_equal(got_i, ntt_oracle(ctxs, got_f, "inverse"))
+        assert np.array_equal(got_i, ref_i)
+        assert np.array_equal(got_i, a)
+
+    def test_route_follows_the_backend(self):
+        batched = batched_ntt_context(ntt_limbs(16, wide=True))
+        with forced("native"):
+            assert batched.route == "native"
+        with forced("numpy"):
+            assert batched.route == "per-limb"
+            assert batched_ntt_context(ntt_limbs(16, False)).route \
+                == "stockham"
+
+    def test_stacked_strided_and_non_uint64_inputs(self, rng):
+        ctxs = ntt_limbs(64, wide=True)
+        batched = batched_ntt_context(ctxs)
+        stack = ntt_residues(ctxs, rng, lead=(3,))
+        small = ntt_limbs(64, wide=False)
+        ints = ntt_residues(small, rng).astype(np.int64)
+        big = np.concatenate([stack, stack], axis=-1)  # (3, L, 2n)
+        with forced("native"):
+            cases = [
+                (batched, stack),
+                (batched, np.swapaxes(np.swapaxes(stack, 0, 1).copy(),
+                                      0, 1)),             # transposed view
+                (batched, big[..., ::2]),                 # strided slice
+                (batched, stack[::-1]),                   # negative stride
+                (batched_ntt_context(small), ints),       # int64 input
+            ]
+            for ctx, x in cases:
+                got = ctx.forward(x)
+                assert got.dtype == np.uint64 and got.shape == x.shape
+                want = ntt_oracle(ctx.contexts, np.asarray(x, np.uint64),
+                              "forward")
+                assert np.array_equal(got, want)
+                assert np.array_equal(ctx.inverse(got), x)
+
+    def test_input_untouched_and_output_fresh(self, rng):
+        ctxs = ntt_limbs(128, wide=False)
+        batched = batched_ntt_context(ctxs)
+        a = ntt_residues(ctxs, rng)
+        saved = a.copy()
+        with forced("native"):
+            fwd = batched.forward(a)
+            inv = batched.inverse(fwd)
+            again = batched.forward(a)
+        assert np.array_equal(a, saved)
+        for out in (fwd, inv, again):
+            assert out.flags.owndata and out.flags.c_contiguous
+            assert not np.shares_memory(out, a)
+        assert not np.shares_memory(fwd, again)
+        assert np.array_equal(inv, a)
+
+    def test_concurrent_threads_match_serial(self, rng):
+        """The GIL is released inside the kernel: no shared scratch.
+
+        More threads than cores and a short switch interval, so calls
+        on different inputs interleave; each must equal its serial run.
+        """
+        ctxs = ntt_limbs(1 << 10, wide=True)
+        batched = batched_ntt_context(ctxs)
+        inputs = [ntt_residues(ctxs, rng, lead=(k + 1,)) for k in range(4)]
+        results: dict[int, list] = {k: [] for k in range(4)}
+        start = threading.Barrier(4, timeout=30)
+
+        def work(k):
+            start.wait()
+            for _ in range(25):
+                f = batched.forward(inputs[k])
+                results[k].append((f, batched.inverse(f)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with forced("native"):
+                serial = [batched.forward(x) for x in inputs]
+                threads = [threading.Thread(target=work, args=(k,))
+                           for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(4):
+            assert len(results[k]) == 25
+            for f, i in results[k]:
+                assert np.array_equal(f, serial[k])
+                assert np.array_equal(i, inputs[k])

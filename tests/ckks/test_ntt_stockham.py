@@ -1,16 +1,19 @@
-"""Differential suite for the radix-4 Stockham NTT engine.
+"""Differential suite for the batched NTT engines.
 
-The Stockham engine rewrites the numerical core of every transform, so
-it is locked down three ways:
+The NumPy route's radix-4 Stockham plan and the native one-call kernel
+each rewrite the numerical core of every transform, so both are locked
+down three ways (every differential runs once per available backend):
 
 * hypothesis-driven bit-identity against the scalar ``NttContext``
   oracle across random ring degrees (odd and even ``log2(N)``), limb
-  counts and modulus widths;
+  counts, modulus widths (up to 62 bits for the native kernel) and
+  stacked leading axes;
 * convolution correctness against the O(N^2) schoolbook reference;
 * structural checks: the ``4m`` :func:`stockham_gate` flipping exactly
   at its integer threshold (bases past it get no plan and run the
-  per-limb oracle), ping-pong buffers never mutating the input, and the
-  static pass-count report the benchmarks record.
+  per-limb oracle under NumPy, the one-call kernel under native),
+  ping-pong buffers never mutating the input, and the static pass-count
+  report the benchmarks record.
 """
 
 import numpy as np
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 pytestmark = pytest.mark.slow  # hypothesis differential sweep runs nightly
 
-from repro.ckks.modmath import mul_mod
+from repro.ckks.modmath import available_backends, mul_mod, set_backend
 from repro.ckks.ntt import (
     BatchedNttContext,
     NttContext,
@@ -29,6 +32,7 @@ from repro.ckks.ntt import (
     stockham_gate,
 )
 from repro.ckks.primes import is_prime, ntt_friendly_primes
+from tests.conftest import ntt_limbs, ntt_oracle, ntt_residues
 
 #: (n, bits) -> tuple[NttContext, ...]; hypothesis re-draws the same
 #: configurations many times and context creation is O(n) per prime.
@@ -43,6 +47,22 @@ def _contexts(n: int, bits: int, limbs: int) -> tuple[NttContext, ...]:
         cached = tuple(NttContext.create(q, n) for q in primes)
         _CTX_CACHE[key] = cached
     return cached[:limbs]
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _restore_backend():
+    """An assertion failing inside an ``_each_backend`` loop must not
+    leak the forced backend into later modules."""
+    yield
+    set_backend(None)
+
+
+def _each_backend():
+    """Force each available modmath backend in turn, then restore."""
+    for name in available_backends():
+        set_backend(name)
+        yield name
+    set_backend(None)
 
 
 def _random_matrix(ctxs, rng) -> np.ndarray:
@@ -63,9 +83,9 @@ class TestDifferentialVsScalarOracle:
         ctxs = _contexts(1 << exp, bits, limbs)
         batched = batched_ntt_context(ctxs)
         a = _random_matrix(ctxs, np.random.default_rng(seed))
-        got = batched.forward(a)
         ref = np.stack([c.forward(a[i]) for i, c in enumerate(ctxs)])
-        assert np.array_equal(got, ref)
+        for _ in _each_backend():
+            assert np.array_equal(batched.forward(a), ref)
 
     @given(exp=st.integers(min_value=4, max_value=12),
            bits=st.sampled_from([30, 42, 50, 58]),
@@ -78,10 +98,10 @@ class TestDifferentialVsScalarOracle:
         batched = batched_ntt_context(ctxs)
         a = _random_matrix(ctxs, np.random.default_rng(seed))
         fwd = np.stack([c.forward(a[i]) for i, c in enumerate(ctxs)])
-        got = batched.inverse(fwd)
         ref = np.stack([c.inverse(fwd[i]) for i, c in enumerate(ctxs)])
-        assert np.array_equal(got, ref)
-        assert np.array_equal(got, a)
+        assert np.array_equal(ref, a)
+        for _ in _each_backend():
+            assert np.array_equal(batched.inverse(fwd), ref)
 
     @pytest.mark.parametrize("exp", [4, 5, 6, 7, 10, 11])
     def test_odd_and_even_log2_n(self, exp):
@@ -90,25 +110,49 @@ class TestDifferentialVsScalarOracle:
         batched = batched_ntt_context(ctxs)
         rng = np.random.default_rng(exp)
         a = _random_matrix(ctxs, rng)
-        fwd = batched.forward(a)
-        assert np.array_equal(
-            fwd, np.stack([c.forward(a[i]) for i, c in enumerate(ctxs)]))
-        assert np.array_equal(batched.inverse(fwd), a)
+        for _ in _each_backend():
+            fwd = batched.forward(a)
+            assert np.array_equal(
+                fwd, np.stack([c.forward(a[i]) for i, c in enumerate(ctxs)]))
+            assert np.array_equal(batched.inverse(fwd), a)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_wide_base_falls_back_to_oracle(self, seed):
-        """60-bit moduli exceed the 4m bounds and run the per-limb oracle."""
+        """60-bit moduli exceed the 4m bounds: under NumPy they run the
+        per-limb oracle, under native the one-call kernel."""
         n = 256
         primes = ntt_friendly_primes(60, 2, n)
         ctxs = tuple(NttContext.create(q, n) for q in primes)
         batched = batched_ntt_context(ctxs)
         assert batched.plan is None
         a = _random_matrix(ctxs, np.random.default_rng(seed))
-        fwd = batched.forward(a)
-        assert np.array_equal(
-            fwd, np.stack([c.forward(a[i]) for i, c in enumerate(ctxs)]))
-        assert np.array_equal(batched.inverse(fwd), a)
+        for _ in _each_backend():
+            fwd = batched.forward(a)
+            assert np.array_equal(
+                fwd, np.stack([c.forward(a[i]) for i, c in enumerate(ctxs)]))
+            assert np.array_equal(batched.inverse(fwd), a)
+
+    @pytest.mark.skipif("native" not in available_backends(),
+                        reason="native modmath extension unavailable")
+    @given(exp=st.integers(min_value=1, max_value=12),
+           wide=st.booleans(),
+           lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_native_matches_oracle_and_numpy_route(self, exp, wide, lead,
+                                                   seed):
+        """The one-call kernel vs both NumPy routes, stacked inputs too."""
+        ctxs = ntt_limbs(1 << exp, wide)
+        batched = batched_ntt_context(ctxs)
+        a = ntt_residues(ctxs, np.random.default_rng(seed), lead)
+        want = ntt_oracle(ctxs, a, "forward")
+        got = {}
+        for name in _each_backend():
+            got[name] = (batched.forward(a), batched.inverse(want))
+        for fwd, inv in got.values():
+            assert np.array_equal(fwd, want)
+            assert np.array_equal(inv, a)
 
 
 class TestConvolution:
@@ -147,25 +191,27 @@ class TestEngineStructure:
         rng = np.random.default_rng(7)
         a = _random_matrix(ctxs, rng)
         saved = a.copy()
-        fwd = batched.forward(a)
-        assert np.array_equal(a, saved)
-        batched.inverse(fwd)
-        assert np.array_equal(a, saved)
+        for _ in _each_backend():
+            fwd = batched.forward(a)
+            assert np.array_equal(a, saved)
+            batched.inverse(fwd)
+            assert np.array_equal(a, saved)
 
     def test_outputs_are_fresh_arrays(self):
         """Results must not alias the reusable ping-pong workspace."""
         ctxs = _contexts(64, 50, 2)
         batched = batched_ntt_context(ctxs)
         rng = np.random.default_rng(8)
-        a = _random_matrix(ctxs, rng)
-        first = batched.forward(a)
-        snapshot = first.copy()
-        batched.forward(_random_matrix(ctxs, rng))  # would clobber a view
-        assert np.array_equal(first, snapshot)
-        inv_first = batched.inverse(first)
-        inv_snapshot = inv_first.copy()
-        batched.inverse(snapshot)
-        assert np.array_equal(inv_first, inv_snapshot)
+        for _ in _each_backend():
+            a = _random_matrix(ctxs, rng)
+            first = batched.forward(a)
+            snapshot = first.copy()
+            batched.forward(_random_matrix(ctxs, rng))  # would clobber a view
+            assert np.array_equal(first, snapshot)
+            inv_first = batched.inverse(first)
+            inv_snapshot = inv_first.copy()
+            batched.inverse(snapshot)
+            assert np.array_equal(inv_first, inv_snapshot)
 
     def test_pass_counts_report(self):
         ctxs = _contexts(1 << 11, 50, 2)
@@ -205,8 +251,9 @@ class TestStockhamGateBoundary:
     bit moduli; these tests hold the gate to the exact integer
     threshold and prove, differentially against the scalar oracle, that
     the switch to the per-limb route at the edge never changes a single
-    output bit.  ``mult`` is the lazy-bound multiple of ``m`` the
-    thresholds are derived for (the ``4m`` gate).
+    output bit, under either backend (the native kernel ignores the
+    gate).  ``mult`` is the lazy-bound multiple of ``m`` the thresholds
+    are derived for (the ``4m`` gate).
     """
 
     @pytest.mark.parametrize("n", [4, 64, 1 << 11, 1 << 12])
@@ -248,17 +295,21 @@ class TestStockhamGateBoundary:
         """The largest admissible / smallest inadmissible widths, live.
 
         Two bases pinned at the real prime edge of the 4m gate (~2^58.5
-        at n=2^11): the one inside gets a Stockham plan, the one past
-        it runs the per-limb oracle, and both reproduce the scalar
-        oracle bit for bit.
+        at n=2^11): under NumPy the one inside gets a Stockham plan and
+        the one past it runs the per-limb oracle; under native both run
+        the one-call kernel.  Every route reproduces the scalar oracle
+        bit for bit.
         """
         n = 1 << 11
         k = n.bit_length() - 1
         adm, inadm = _edge_prime_pair(n, ((1 << 64) - 1) // (4 * k + 1))
-        rng = np.random.default_rng(0xB75)
-        batched = self._roundtrip_vs_oracle((NttContext.create(adm, n),),
-                                            rng)
-        assert batched.plan is not None
-        batched = self._roundtrip_vs_oracle((NttContext.create(inadm, n),),
-                                            rng)
-        assert batched.plan is None
+        routes = {"numpy": ("stockham", "per-limb"),
+                  "native": ("native", "native")}
+        for name in _each_backend():
+            rng = np.random.default_rng(0xB75)
+            inside = self._roundtrip_vs_oracle(
+                (NttContext.create(adm, n),), rng)
+            past = self._roundtrip_vs_oracle(
+                (NttContext.create(inadm, n),), rng)
+            assert (inside.route, past.route) == routes[name]
+            assert inside.plan is not None and past.plan is None

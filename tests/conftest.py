@@ -10,7 +10,9 @@ from repro.ckks.cipher import Plaintext
 from repro.ckks.encoder import Encoder
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
+from repro.ckks.ntt import NttContext
 from repro.ckks.params import CkksParams, RingContext
+from repro.ckks.primes import is_prime, ntt_friendly_primes
 from repro.ckks.rns import RnsPolynomial
 
 
@@ -114,3 +116,39 @@ real_scalars = st.one_of(
         lambda v: st.sampled_from([v, -v])),
     st.sampled_from([0.0, -0.0, -1.0, 0.5, -2.0 ** 22, 2.0 ** 23 + 0.5]),
 )
+
+
+def _smallest_ntt_prime(n: int) -> int:
+    """The smallest prime ``= 1 (mod 2n)`` (7 bits, 97, at ``n = 16``)."""
+    q = 2 * n + 1
+    while not is_prime(q):
+        q += 2 * n
+    return q
+
+
+def ntt_limbs(n: int, wide: bool) -> tuple[NttContext, ...]:
+    """59-62-bit limbs plus the smallest NTT prime, or Stockham-sized ones.
+
+    ``wide`` bases sit past the Stockham gate (their NumPy route is the
+    per-limb oracle); the others are inside it and get a plan.
+    """
+    if wide:
+        primes = (ntt_friendly_primes(59, 1, n) + ntt_friendly_primes(61, 2, n)
+                  + [_smallest_ntt_prime(n)])
+    else:
+        primes = ntt_friendly_primes(50, 2, n) + [_smallest_ntt_prime(n)]
+    return tuple(NttContext.create(q, n) for q in primes)
+
+
+def ntt_residues(ctxs, rng, lead=()) -> np.ndarray:
+    """Random canonical residues of shape ``(*lead, limbs, n)``."""
+    n = ctxs[0].n
+    return np.stack([rng.integers(0, c.modulus.value, size=(*lead, n),
+                                  dtype=np.uint64) for c in ctxs], axis=-2)
+
+
+def ntt_oracle(ctxs, a, direction) -> np.ndarray:
+    """Row-by-row per-prime transform of a ``(..., limbs, n)`` stack."""
+    rows = a.reshape(-1, ctxs[0].n)
+    return np.stack([getattr(ctxs[i % len(ctxs)], direction)(row)
+                     for i, row in enumerate(rows)]).reshape(a.shape)
