@@ -243,10 +243,11 @@ def bench_service(ring, reps: int
     ``service_roundtrip`` serializes + deserializes one full-level
     ciphertext (validation included: CRC, digest, residue ranges);
     ``service_roundtrip_metrics_on`` repeats it with the gated
-    observability instruments enabled (:func:`repro.obs.enable`), so
-    the two medians — measured back to back in the same process — are
-    a paired reading of the instrumentation overhead (the ``--check``
-    gate holds it to 5%).
+    observability instruments enabled (:func:`repro.obs.enable`).
+    After a shared warm-up the disabled and enabled reps alternate
+    (which one goes first flips every pair), so warm-up and host drift
+    land on both medians alike and their ratio is a paired reading of
+    the instrumentation overhead (the ``--check`` gate holds it to 5%).
     ``service_throughput_batched`` / ``_unbatched`` measure one batch
     window of 8 concurrent small rotation programs submitted by one
     tenant against a *shared* input ciphertext — with coalescing on, the
@@ -280,18 +281,30 @@ def bench_service(ring, reps: int
     def roundtrip():
         deserialize_ciphertext(serialize_ciphertext(ct, params), ring)
 
+    def timed(enabled: bool) -> float:
+        if enabled:
+            obs.enable()
+        try:
+            t0 = time.perf_counter()
+            roundtrip()
+            return time.perf_counter() - t0
+        finally:
+            obs.disable()
+
     # The paired overhead reading needs tighter medians than the
     # throughput kernels — the roundtrip is sub-millisecond, so extra
     # reps are cheap and damp runner noise under the 5% gate.
-    rt_reps = max(reps, 25)
+    rt_reps = max(reps, 300)
+    for enabled in (False, True):  # shared warm-up
+        timed(enabled)
+    samples = {False: [], True: []}
+    for rep in range(rt_reps):
+        for enabled in ((False, True) if rep % 2 == 0 else (True, False)):
+            samples[enabled].append(timed(enabled))
     out = {"service_roundtrip":
-           (_median_seconds(roundtrip, rt_reps), rt_reps)}
-    obs.enable()
-    try:
-        out["service_roundtrip_metrics_on"] = (
-            _median_seconds(roundtrip, rt_reps), rt_reps)
-    finally:
-        obs.disable()
+           (statistics.median(samples[False]), rt_reps),
+           "service_roundtrip_metrics_on":
+           (statistics.median(samples[True]), rt_reps)}
 
     def make_program(index: int) -> Program:
         amounts = [ROTATION_BATCH_AMOUNTS[(3 * index + j) % 14]
@@ -689,10 +702,11 @@ def main() -> None:
                                         str(args.baseline), args.tolerance,
                                         args.normalize_kernel)
         # Paired observability-overhead gate: both medians came from
-        # this run (same process, same host), so the ratio is the cost
-        # of the enabled instruments alone — no machine-speed canary
-        # needed, and the disabled-mode fast path is what the regular
-        # service_roundtrip gate above tracks against the baseline.
+        # interleaved reps of this run (same process, same host), so
+        # the ratio is the cost of the enabled instruments alone — no
+        # machine-speed canary needed, and the disabled-mode fast path
+        # is what the regular service_roundtrip gate above tracks
+        # against the baseline.
         base = kernels.get("service_roundtrip", (0.0,))[0]
         with_metrics = kernels.get("service_roundtrip_metrics_on",
                                    (0.0,))[0]

@@ -23,6 +23,7 @@ histogram ``_bucket``/``_sum``/``_count`` series with cumulative
 from __future__ import annotations
 
 import bisect
+import functools
 import threading
 
 #: Module-level fast-path switch for *gated* instruments (the default
@@ -116,9 +117,18 @@ class Counter(_Instrument):
     def inc(self, value: float = 1.0, **labels) -> None:
         if self._gated and not _ENABLED:
             return
+        self._inc_key(self._key(labels), value)
+
+    def bind(self, **labels):
+        """``inc`` bound to one fixed label set: a ``fn(value=1.0)`` that
+        skips building the label key (the hot-path form of ``inc``)."""
+        return functools.partial(self._inc_key, self._key(labels))
+
+    def _inc_key(self, key: tuple[str, ...], value: float = 1.0) -> None:
+        if self._gated and not _ENABLED:
+            return
         if value < 0:
             raise ValueError(f"{self.name}: counters only go up")
-        key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + value
 

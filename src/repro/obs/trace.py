@@ -17,9 +17,9 @@ Design constraints, driven by the serving pipeline:
   rather than inferred from a thread-local stack; the tracer's lock
   only guards span registration, never timing.
 * **No global state** — a tracer is an object you thread through the
-  stack (``ServiceConfig.tracer``, ``execute(span=...)``).  Code paths
-  receive ``span=None`` when tracing is off and skip instrumentation
-  with one ``is None`` test.
+  stack (``ServiceConfig.tracer``, ``execute(span=...)``).  Untraced
+  serving code holds the falsy no-op :data:`NULL_SPAN`, not ``None``;
+  the executor keeps ``span=None`` on its per-node hot path.
 * **Crash-tolerant export** — spans left open (a worker died mid-node)
   are closed at export time with the current clock, flagged
   ``"unfinished": true``, so a trace of a failed run still loads.
@@ -84,6 +84,32 @@ class Span:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.t1 is None else f"{self.duration_s:.6f}s"
         return f"<Span {self.span_id} {self.name!r} {state}>"
+
+
+class _NullSpan:
+    """The span of an untraced run: falsy, and every method a no-op."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return False
+
+    def child(self, *args, **kwargs) -> "_NullSpan":
+        return self
+
+    __enter__ = child
+
+    def annotate(self, **args) -> None:
+        pass
+
+    end = annotate
+
+    def __exit__(self, *exc_info) -> None:
+        pass  # returns None: exceptions propagate
+
+
+#: Stand-in for :class:`Span` when tracing is off (see the module doc).
+NULL_SPAN = _NullSpan()
 
 
 class Tracer:

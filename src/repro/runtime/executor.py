@@ -36,7 +36,7 @@ import numpy as np
 from repro.ckks.cipher import Ciphertext
 from repro.ckks.evaluator import SCALE_RTOL, Evaluator
 from repro.obs import kernel as _obs_kernel
-from repro.obs.noise import NoiseTracker
+from repro.obs.noise import NoiseTracker, PlanNoiseProfile
 from repro.runtime.ir import OpCode
 from repro.runtime.planner import Plan
 
@@ -65,7 +65,8 @@ def execute(plan: Plan, evaluator: Evaluator,
             validate: bool = True,
             seeded_nodes: dict[int, Ciphertext] | None = None,
             should_cancel=None, span=None,
-            noise: NoiseTracker | None = None) -> dict[str, Ciphertext]:
+            noise: PlanNoiseProfile | None = None
+            ) -> dict[str, Ciphertext]:
     """Run ``plan`` and return the named output ciphertexts.
 
     ``inputs`` maps the program's input names to ciphertexts encrypted
@@ -98,12 +99,13 @@ def execute(plan: Plan, evaluator: Evaluator,
     deltas the node caused on this thread.  With ``span=None`` the
     execution path is byte-identical to an untraced run.
 
-    ``noise`` is an optional :class:`repro.obs.noise.NoiseTracker`;
-    traced runs build one from the evaluator's ring automatically, so
-    every op span also carries ``noise_bits`` / ``headroom_bits`` from
-    the analytic per-node profile.  The tracker is pure float algebra
-    over plan metadata — it never reads ciphertext coefficients, so
-    outputs are byte-identical with or without it.
+    ``noise`` is an optional :class:`repro.obs.noise.PlanNoiseProfile`
+    of ``plan`` (the serving scheduler passes the one it memoized with
+    the plan); traced runs without one profile the plan from the
+    evaluator's ring, so every op span also carries ``noise_bits`` /
+    ``headroom_bits``.  The profile is pure float algebra over plan
+    metadata — it never reads ciphertext coefficients, so outputs are
+    byte-identical with or without it.
     """
     values = _run(plan, evaluator, inputs,
                   targets=set(plan.outputs.values()),
@@ -141,11 +143,8 @@ def _run(plan: Plan, evaluator: Evaluator, inputs: dict[str, Ciphertext],
     seeded_nodes = seeded_nodes or {}
     fusion_root = {f.root: f for f in plan.fusions}
 
-    noise_profile = None
-    if span is not None:
-        if noise is None:
-            noise = NoiseTracker.from_ring(evaluator.ring)
-        noise_profile = noise.profile(plan)
+    if span is not None and noise is None:
+        noise = NoiseTracker.from_ring(evaluator.ring).profile(plan)
 
     # Reverse liveness sweep: a node executes iff some target needs it
     # and neither a seed nor a fusion provides/absorbs it.  ``order``
@@ -238,8 +237,8 @@ def _run(plan: Plan, evaluator: Evaluator, inputs: dict[str, Ciphertext],
                 tags["fused_terms"] = len(fusion.terms)
             elif op is OpCode.HROT:
                 tags["rotation"] = node.rotation
-            if noise_profile is not None:
-                health = noise_profile.nodes[nid]
+            if noise is not None:
+                health = noise.nodes[nid]
                 tags["noise_bits"] = round(health.noise_bits, 2)
                 tags["headroom_bits"] = round(health.headroom_bits, 2)
             node_span = span.child(

@@ -457,47 +457,69 @@ def plan_cache_key(program: Program, config: PlannerConfig,
     return h.hexdigest()
 
 
+@dataclass
+class PlanEntry:
+    """One plan-cache slot: a plan plus the values derived from it
+    (:meth:`derive`), evicted together so neither outgrows the cache."""
+
+    plan: Plan
+    derived: dict[str, object] = field(default_factory=dict)
+
+    def derive(self, name: str, compute):
+        """Memoized ``compute(plan)`` (pure, so a cold race between
+        threads is a benign double compute)."""
+        value = self.derived.get(name)
+        if value is None:
+            value = self.derived[name] = compute(self.plan)
+        return value
+
+
 class PlanCache:
     """LRU cache of compiled plans keyed by :func:`plan_cache_key`.
 
     Planning is pure (a plan only depends on the program structure and
     the config), so cached plans are shared freely across tenants and
     requests; the serving scheduler compiles each distinct program once
-    and replays the plan for every subsequent job.
+    and replays the plan for every subsequent job.  Each key holds one
+    :class:`PlanEntry`: the plan and the values derived from it.
     """
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
-        self._plans: OrderedDict[str, Plan] = OrderedDict()
+        self._entries: OrderedDict[str, PlanEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return len(self._entries)
 
     def get(self, program: Program, config: PlannerConfig,
             params_digest: str = "") -> tuple[Plan, bool, str]:
         """Return ``(plan, was_cached, cache_key)``, planning on a miss.
 
-        The key is handed back so callers that maintain sidecar state
-        (the scheduler's admission-estimate cache) reuse it instead of
-        re-walking the program for a second structural hash.
+        The key is handed back so callers reach the plan's
+        :class:`PlanEntry` (:meth:`entry`) without re-walking the
+        program for a second structural hash.
         """
         key = plan_cache_key(program, config, params_digest)
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._plans.move_to_end(key)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
             self.hits += 1
-            return plan, True, key
+            return entry.plan, True, key
         plan = plan_program(program, config)
-        self._plans[key] = plan
+        self._entries[key] = PlanEntry(plan)
         self.misses += 1
-        while len(self._plans) > self.capacity:
-            self._plans.popitem(last=False)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
         return plan, False, key
 
+    def entry(self, key: str) -> PlanEntry | None:
+        """The resident entry under ``key`` (no LRU or hit-count change)."""
+        return self._entries.get(key)
+
     def stats(self) -> dict[str, int]:
-        return {"entries": len(self._plans), "hits": self.hits,
+        return {"entries": len(self._entries), "hits": self.hits,
                 "misses": self.misses, "capacity": self.capacity}

@@ -21,8 +21,8 @@ amortizes cost across tenants and requests.  Five pieces:
   cancellation, backoff retries, per-tenant circuit breakers.
 * :mod:`repro.service.faults` — deterministic seeded fault injection
   (worker crashes/stalls, blob corruption, evicted-key races,
-  admission-estimate lies) wired through pure hook sites in the
-  scheduler, for tests and the chaos CI job.
+  admission-estimate lies) whose hooks the scheduler calls on every
+  job, for tests and the chaos CI job.
 """
 
 from repro.service.errors import (

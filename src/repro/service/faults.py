@@ -4,7 +4,8 @@ A :class:`FaultPlan` is a seeded, explicit schedule of failures the
 scheduler/worker pipeline consults at fixed hook sites — pure code
 paths compiled into the normal pipeline (no monkeypatching), so the
 same plan drives unit tests, the chaos step in CI
-(``examples/fhe_server_demo.py --chaos``), and ad-hoc soak runs.
+(``examples/fhe_server_demo.py --chaos``), and ad-hoc soak runs.  The
+hooks are the plan's own methods; an empty ``FaultPlan()`` is a no-op.
 
 Fault catalogue (:class:`FaultKind`) and where each hook lives:
 
@@ -27,16 +28,19 @@ Determinism: a spec fires on the ``after``-th .. ``after+times``-th
 probe that matches its ``(kind, tenant, program)`` filter, counted in
 probe order, and the corruption byte/mask come from the plan's seeded
 RNG — the same plan against the same traffic injects byte-identical
-faults every run.
+faults every run, so the probe order (:meth:`FaultPlan.before_attempt`)
+is part of the contract.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 
+from repro.runtime.executor import ExecutionCancelled
 from repro.service.errors import TransientServiceError
 
 
@@ -114,6 +118,35 @@ class FaultPlan:
                     self.injected.append((kind.value, tenant, program))
                     return spec
             return None
+
+    def before_attempt(self, registry, tenant: str, program: str,
+                       cancel: threading.Event) -> None:
+        """Worker hooks of one attempt: EVICT_KEYS, STALL (raising
+        ``ExecutionCancelled`` if ``cancel`` was set meanwhile), CRASH,
+        TRANSIENT — probed in that order."""
+        spec = self.probe(FaultKind.EVICT_KEYS, tenant, program)
+        if spec is not None:
+            registry.evict_tenant_galois(tenant,
+                                         amounts=spec.amounts or None)
+        spec = self.probe(FaultKind.STALL, tenant, program)
+        if spec is not None:
+            time.sleep(spec.stall_s)
+            if cancel.is_set():  # supervisor gave up during the stall
+                raise ExecutionCancelled(
+                    f"{tenant}/{program}: stalled past its deadline")
+        if self.probe(FaultKind.CRASH, tenant, program) is not None:
+            raise InjectedCrash(
+                f"injected worker crash for {tenant}/{program}")
+        if self.probe(FaultKind.TRANSIENT, tenant, program) is not None:
+            raise InjectedTransient(
+                f"injected transient fault for {tenant}/{program}")
+
+    def misprice(self, estimate: float, tenant: str = "",
+                 program: str = "") -> float:
+        """MISPRICE hook: the admission estimate, times the spec's
+        ``factor`` when one fires."""
+        spec = self.probe(FaultKind.MISPRICE, tenant, program)
+        return estimate if spec is None else estimate * spec.factor
 
     def corrupt(self, blob: bytes, tenant: str = "",
                 program: str = "") -> bytes:

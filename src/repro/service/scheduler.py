@@ -6,57 +6,34 @@ The serving pipeline for one job is
     -> admission (BTS cycle estimate) -> share work across jobs
     -> supervised execution on the worker pool -> serialize outputs
 
-Three scheduling ideas carry the throughput:
-
-* **Plan cache** — compilation (level/scale inference, rescale and
-  bootstrap placement, batch detection) is pure, so plans are cached by
+* **One plan record** — planning is pure, so plans are cached by
   :func:`~repro.runtime.planner.plan_cache_key` (structural program
   hash x planner config x params digest) and shared across tenants.
-
-* **Cost admission** — before a job first runs, its plan is lowered to
-  the accelerator trace and priced by the BTS cycle simulator
-  (:class:`~repro.core.simulator.BtsSimulator`) on the configured
-  instance; jobs whose estimated accelerator time exceeds
-  ``max_job_seconds`` are rejected *before* consuming worker time.  The
-  estimate is cached with the plan, so admission is one dict lookup in
-  steady state.
-
-* **Cross-job sharing** — per tenant, the plans of the jobs in one
-  batch window that bind a common input blob are merged into one
-  hash-consed *window plan* (:mod:`repro.runtime.window`): every value
-  two jobs compute, and every rotation of such a value two jobs rotate,
-  runs once — all rotations of one source under a single hoisted raise
-  (the Section 3.3 structure — ModUp is rotation-independent — applied
-  across request boundaries) — and each job is seeded at its frontier.
-  Every shared value is computed by the same executor code path, and
-  hoisted galois is bit-identical to sequential, so sharing on/off
-  produces byte-identical output blobs.
-
-And three robustness ideas keep one shared accelerator serviceable
-under faults (the failure model is documented in ``service/README.md``):
-
-* **Per-job failure isolation** — every stage of the pipeline fails at
-  job granularity: a job whose blob is corrupt, whose keys were
-  evicted, or whose worker crashes/stalls fails *its own* future, while
-  its batch-mates (including members of the same window plan)
-  complete with byte-identical outputs to a fault-free run.
-
-* **Supervised execution** (:mod:`repro.service.supervisor`) — each
-  attempt runs under a deadline priced from the admission estimate
-  (``estimate x multiplier + floor``), timed-out workers are cancelled
-  cooperatively at executor node boundaries, and failures classified
-  transient by :mod:`repro.service.errors` are retried with exponential
-  backoff + full jitter.
-
-* **Graceful degradation** — the submit queue is bounded and
-  cost-aware: when queued jobs (or their simulator-priced seconds)
-  exceed the budget, submits are rejected with a structured
-  :class:`~repro.service.errors.Overloaded` carrying a retry-after
-  hint, instead of the queue growing without bound.  A per-tenant
-  circuit breaker sheds tenants whose jobs keep failing terminally
-  (:class:`~repro.service.errors.CircuitOpen`), and :meth:`health`
-  exposes queue depth, priced backlog, breaker states and
-  retry/timeout/shed counters so degradation is observable.
+  The values derived from a plan — its BTS cycle estimate on INS-2
+  (:class:`~repro.core.simulator.BtsSimulator`), its analytic noise
+  profile and its window-plan keys — are memoized on its
+  :class:`~repro.runtime.planner.PlanEntry` and evicted with it.  A
+  program whose plan was evicted is priced at ``default_job_cost_s``
+  by its next submit, until it is admitted again.
+* **Cost admission** — jobs whose estimate exceeds ``max_job_seconds``
+  are rejected before consuming worker time.
+* **Cross-job sharing** — per tenant, the jobs of one batch window that
+  bind a common input blob are merged into one hash-consed window plan
+  (:mod:`repro.runtime.window`): every value two jobs compute, and
+  every rotation of it two jobs make, runs once (the Section 3.3
+  hoisting, across request boundaries), and each job is seeded at its
+  frontier — byte-identical to running each job alone.
+* **Robustness** (failure model in ``service/README.md``) — every stage
+  fails at job granularity; attempts run under supervision
+  (:mod:`repro.service.supervisor`: priced deadlines, cooperative
+  cancellation, jittered retries of transient errors); the submit
+  queue is bounded in jobs and priced seconds
+  (:class:`~repro.service.errors.Overloaded`), a per-tenant breaker
+  sheds failing tenants, and :meth:`RequestScheduler.health` shows it.
+* **One code path** for plain, faulted and traced runs — fault hooks
+  are :class:`~repro.service.faults.FaultPlan` methods (an empty plan
+  by default) and untraced jobs carry
+  :data:`~repro.obs.trace.NULL_SPAN`.
 """
 
 from __future__ import annotations
@@ -79,13 +56,12 @@ from repro.obs.calibration import CalibrationRecorder
 from repro.obs.events import JobJournal
 from repro.obs.metrics import BIT_BUCKETS, MetricsRegistry
 from repro.obs.noise import NoiseTracker, PlanNoiseProfile
-from repro.obs.trace import Span, Tracer
-from repro.runtime.executor import ExecutionCancelled, execute, \
-    execute_subgraph
+from repro.obs.trace import NULL_SPAN, Span, Tracer
+from repro.runtime.executor import execute, execute_subgraph
 from repro.runtime.ir import OpCode, Program
-from repro.runtime.planner import Plan, PlanCache, PlannerConfig, \
-    plan_cache_key
-from repro.runtime.window import PlanKeys, merge_window, plan_keys
+from repro.runtime.planner import Plan, PlanCache, PlanEntry, \
+    PlannerConfig, plan_cache_key
+from repro.runtime.window import merge_window, plan_keys
 from repro.service import wire
 from repro.service.errors import (
     AdmissionError,
@@ -95,9 +71,8 @@ from repro.service.errors import (
     PrecisionAtRisk,
     SchedulerStopped,
 )
-from repro.service.faults import FaultKind, FaultPlan, InjectedCrash, \
-    InjectedTransient
-from repro.service.registry import KeyRegistry, TenantSession
+from repro.service.faults import FaultPlan
+from repro.service.registry import KeyRegistry
 from repro.service.supervisor import BreakerConfig, CircuitBreaker, \
     SupervisionConfig, Supervisor
 
@@ -130,7 +105,6 @@ class ServiceConfig:
     #: as a whole — its galois members no longer join a window raise.
     max_job_seconds: float | None = None  #: admission ceiling (estimated
     #: seconds on the paper's INS-2; None disables the simulator)
-    bootstrap_level: int | None = None  #: forwarded to the planner
     # ----- robustness ------------------------------------------------------
     supervision: SupervisionConfig = field(
         default_factory=SupervisionConfig)  #: deadline/retry policy
@@ -142,7 +116,8 @@ class ServiceConfig:
     #: disables the cost-aware half of backpressure; the job-count bound
     #: always applies)
     default_job_cost_s: float = 0.0  #: priced cost of a job whose
-    #: admission estimate is not cached yet (admission off or cold)
+    #: admission estimate is not cached (admission off, cold, or its
+    #: plan evicted from the plan cache)
     fault_plan: FaultPlan | None = None  #: deterministic fault injection
     # ----- observability ---------------------------------------------------
     tracer: Tracer | None = None     #: per-job trace spans (None: untraced)
@@ -151,9 +126,6 @@ class ServiceConfig:
     #: this many bits carries a non-fatal
     #: :class:`~repro.service.errors.PrecisionAtRisk` warning (None
     #: disables the check; headroom is still tracked and exported)
-    noise_message_bound: float = 1.0  #: assumed |message| bound for the
-    #: analytic noise model (tenants encrypting larger messages should
-    #: raise it — under-bounding the message under-counts noise)
     events: JobJournal | None = None  #: opt-in JSON-lines job journal
     #: (one line per lifecycle transition; never a liveness dependency)
 
@@ -231,9 +203,9 @@ class _Job:
     request: JobRequest
     future: asyncio.Future
     cost: float = 0.0                #: priced seconds held against backlog
-    plan: Plan | None = None
+    entry: PlanEntry | None = None   #: plan plus its derived values
     cache_hit: bool = False
-    estimate: float | None = None
+    estimate: float | None = None    #: admission estimate (MISPRICE applied)
     inputs: dict[str, Ciphertext] = field(default_factory=dict)
     #: input name -> blob digest (window-plan INPUT keys)
     digests: dict[str, str] = field(default_factory=dict)
@@ -244,9 +216,9 @@ class _Job:
     cache_key: str | None = None     #: plan-cache key (calibration key)
     submitted_at: float = 0.0        #: perf_counter at submit
     attempt_no: int = 0              #: supervised attempts started
-    span: Span | None = None         #: per-job trace root
-    queue_span: Span | None = None   #: submit -> batch-pull interval
-    supervise_span: Span | None = None  #: supervision envelope
+    span: Span = NULL_SPAN           #: per-job trace root
+    queue_span: Span = NULL_SPAN     #: submit -> batch-pull interval
+    supervise_span: Span = NULL_SPAN  #: supervision envelope
 
 
 class RequestScheduler:
@@ -258,12 +230,14 @@ class RequestScheduler:
         self.config = config or ServiceConfig()
         self.ring = registry.ring
         self.plan_cache = PlanCache()
-        self._estimates: dict[str, float] = {}
+        self.planner_config = dataclasses.replace(
+            PlannerConfig.from_ring(self.ring),
+            fuse_rotate_reduce=self.config.optimize)
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, self.config.workers),
             thread_name_prefix="fhe-worker")
         self.supervisor = Supervisor(self._pool, self.config.supervision)
-        self.fault_plan = self.config.fault_plan
+        self.fault_plan = self.config.fault_plan or FaultPlan()
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
         self._stopping = False
@@ -282,12 +256,8 @@ class RequestScheduler:
         self.events = self.config.events
         # Noise profiles are pure functions of the plan (input level and
         # scale are fixed by the planner's meta), so one tracker serves
-        # every tenant and profiles cache by plan-cache key alongside
-        # the admission estimates.
-        self.noise_tracker = NoiseTracker.from_ring(
-            self.ring, message_bound=self.config.noise_message_bound)
-        self._noise_profiles: dict[str, PlanNoiseProfile] = {}
-        self._plan_keys: dict[str, PlanKeys] = {}  #: window-plan keys
+        # every tenant and each profile is memoized on its plan entry.
+        self.noise_tracker = NoiseTracker.from_ring(self.ring)
         # A job slower than deadline_multiplier x estimate was one floor
         # away from timing out, which is exactly "the admission estimate
         # lied"; a nonpositive multiplier (the fault tests pin deadlines
@@ -440,39 +410,43 @@ class RequestScheduler:
         job = _Job(request=request, cost=cost,
                    future=asyncio.get_running_loop().create_future())
         job.submitted_at = time.perf_counter()
-        if self.tracer is not None:
-            job.span = self.tracer.span(
-                f"{request.tenant}/{request.program.name}", cat="job",
-                tenant=request.tenant, program=request.program.name)
-            job.queue_span = job.span.child("queue_wait", cat="sched")
+        job.span = self._root_span(
+            f"{request.tenant}/{request.program.name}", cat="job",
+            tenant=request.tenant, program=request.program.name)
+        job.queue_span = job.span.child("queue_wait", cat="sched")
         self._journal("submitted", job, cost_s=round(cost, 6) or None)
         await self._queue.put(job)
         try:
             return await job.future
+        except Exception as exc:
+            job.span.annotate(error=type(exc).__name__)
+            raise
         finally:
             with self._stats_lock:
                 self._backlog_jobs -= 1
                 self._backlog_seconds -= job.cost
-            if job.span is not None:
-                if job.future.done() and not job.future.cancelled():
-                    exc = job.future.exception()
-                    if exc is not None:
-                        job.span.annotate(error=type(exc).__name__)
-                job.span.end()
+            job.span.end()
+
+    def _root_span(self, name: str, **args) -> Span:
+        """A root span, or NULL_SPAN (``self.tracer`` may change live)."""
+        tracer = self.tracer
+        return NULL_SPAN if tracer is None else tracer.span(name, **args)
 
     def _priced_cost(self, request: JobRequest) -> float:
         """Simulator-priced seconds a submit holds against the backlog.
 
-        Steady state (admission on, plan seen before) this is one dict
-        lookup against the admission-estimate cache; cold jobs — and
-        every job when admission is off — are held at
+        Steady state this peeks at the plan entry's memoized estimate
+        (no LRU or hit-count change, no MISPRICE factor); cold or
+        evicted plans, and every job when admission is off, are held at
         ``default_job_cost_s`` so the job-count bound still applies.
         """
-        if not self._estimates:
-            return self.config.default_job_cost_s
-        key = plan_cache_key(request.program, self._planner_config(),
-                             self.ring.params.digest)
-        return self._estimates.get(key, self.config.default_job_cost_s)
+        default = self.config.default_job_cost_s
+        if self.config.max_job_seconds is None:
+            return default
+        entry = self.plan_cache.entry(plan_cache_key(
+            request.program, self.planner_config, self.ring.params.digest))
+        estimate = None if entry is None else entry.derived.get("estimate")
+        return default if estimate is None else estimate
 
     def _breaker(self, tenant: str) -> CircuitBreaker:
         breaker = self._breakers.get(tenant)
@@ -572,70 +546,37 @@ class RequestScheduler:
 
     # ----- batch preparation (plan, admit, share) ----------------------------
 
-    def _planner_config(self) -> PlannerConfig:
-        config = PlannerConfig.from_ring(
-            self.ring, bootstrap_level=self.config.bootstrap_level)
-        if self.config.optimize:
-            config = dataclasses.replace(config, fuse_rotate_reduce=True)
-        return config
-
     def _admit(self, job: _Job) -> None:
         """Plan the job and enforce the admission cost ceiling."""
-        config = self._planner_config()
-        digest = self.ring.params.digest
-        job.plan, job.cache_hit, job.cache_key = self.plan_cache.get(
-            job.request.program, config, digest)
+        plan, job.cache_hit, job.cache_key = self.plan_cache.get(
+            job.request.program, self.planner_config,
+            self.ring.params.digest)
+        job.entry = self.plan_cache.entry(job.cache_key)
         self._m_plan_cache.inc(
             result="hit" if job.cache_hit else "miss")
-        cache_key = job.cache_key
         session = self.registry.session(job.request.tenant)
-        missing = session.missing_amounts(job.plan.required_rotations())
+        missing = session.missing_amounts(plan.required_rotations())
         if missing:
             raise AdmissionError(
                 f"tenant {job.request.tenant!r} has no rotation keys for "
                 f"amounts {missing} (evicted or never registered — "
                 "re-upload the galois bundle)")
-        needs_conj = any(job.plan.nodes[nid].op is OpCode.CONJ
-                         for nid in job.plan.order)
-        if needs_conj and session.evaluator.conjugation_key is None:
+        ops = {plan.nodes[nid].op for nid in plan.order}
+        if OpCode.CONJ in ops and session.evaluator.conjugation_key is None:
             raise AdmissionError(
                 f"tenant {job.request.tenant!r} has no conjugation key")
-        if any(job.plan.nodes[nid].op is OpCode.HMULT
-               for nid in job.plan.order) \
-                and session.evaluator.relin_key is None:
+        if OpCode.HMULT in ops and session.evaluator.relin_key is None:
             raise AdmissionError(
                 f"tenant {job.request.tenant!r} has no relinearization key")
         if self.config.max_job_seconds is not None:
-            job.estimate = self._estimate_seconds(job.plan, cache_key)
-            if self.fault_plan is not None:
-                spec = self.fault_plan.probe(
-                    FaultKind.MISPRICE, job.request.tenant,
-                    job.request.program.name)
-                if spec is not None:
-                    job.estimate *= spec.factor
+            job.estimate = self.fault_plan.misprice(
+                job.entry.derive("estimate", _ins2_seconds),
+                job.request.tenant, job.request.program.name)
             if job.estimate > self.config.max_job_seconds:
                 raise AdmissionError(
                     f"estimated accelerator time {job.estimate * 1e3:.2f} "
                     f"ms exceeds the admission ceiling "
                     f"{self.config.max_job_seconds * 1e3:.2f} ms")
-
-    def _estimate_seconds(self, plan: Plan, cache_key: str) -> float:
-        """BTS cycle estimate for a plan, cached by its plan-cache key.
-
-        The priced instance (INS-2) is fixed, so the plan-cache key
-        (already computed by :meth:`PlanCache.get`) is a sufficient
-        estimate key — steady-state admission really is one dict lookup.
-        """
-        cached = self._estimates.get(cache_key)
-        if cached is None:
-            from repro.core.simulator import BtsSimulator
-            from repro.runtime.lowering import lower_to_trace
-
-            params = CkksParams.ins2()
-            lowered = lower_to_trace(plan, params)
-            cached = BtsSimulator(params).run(lowered.trace).total_seconds
-            self._estimates[cache_key] = cached
-        return cached
 
     def _prepare_batch(self, batch: list[_Job]) -> list[_Job]:
         """Plan + admit every job, decode inputs, share work across jobs.
@@ -645,29 +586,22 @@ class RequestScheduler:
         later in the batch) proceed untouched.  A job whose submitter
         was cancelled while it queued is dropped unrun.
         """
-        batch_span = None
-        if self.tracer is not None:
-            batch_span = self.tracer.span(
-                "batch_assembly", cat="sched", batch_size=len(batch))
+        batch_span = self._root_span("batch_assembly", cat="sched",
+                                     batch_size=len(batch))
         blob_cache: dict[str, Ciphertext] = {}
         admitted: list[_Job] = []
         for job in batch:
-            if job.queue_span is not None:
-                job.queue_span.end()
+            job.queue_span.end()
             if job.future.done():  # submitter cancelled while queued
                 self._settle(job, "cancelled", None, outcome="cancelled")
                 continue
             self._m_queue_wait.observe(time.perf_counter() - job.submitted_at)
             try:
-                if job.span is not None:
-                    with job.span.child("admit", cat="sched") as span:
-                        self._admit(job)
-                        span.annotate(plan_cache_hit=job.cache_hit,
-                                      estimate_s=job.estimate)
-                    with job.span.child("decode_inputs", cat="sched"):
-                        self._decode_inputs(job, blob_cache)
-                else:
+                with job.span.child("admit", cat="sched") as span:
                     self._admit(job)
+                    span.annotate(plan_cache_hit=job.cache_hit,
+                                  estimate_s=job.estimate)
+                with job.span.child("decode_inputs", cat="sched"):
                     self._decode_inputs(job, blob_cache)
                 admitted.append(job)
             except Exception as exc:  # reject: surface to the submitter
@@ -675,18 +609,16 @@ class RequestScheduler:
                              error=type(exc).__name__)
         if self.config.coalesce:
             self._share(admitted, batch_span)
-        if batch_span is not None:
-            batch_span.annotate(admitted=len(admitted))
-            batch_span.end()
+        batch_span.annotate(admitted=len(admitted))
+        batch_span.end()
         return admitted
 
     def _decode_inputs(self, job: _Job,
                        blob_cache: dict[str, Ciphertext]) -> None:
         """Deserialize the job's input blobs (deduped by digest)."""
         for name, blob in job.request.inputs.items():
-            if self.fault_plan is not None:
-                blob = self.fault_plan.corrupt(
-                    blob, job.request.tenant, job.request.program.name)
+            blob = self.fault_plan.corrupt(
+                blob, job.request.tenant, job.request.program.name)
             digest = hashlib.sha256(blob).hexdigest()
             ct = blob_cache.get(digest)
             if ct is None:
@@ -695,8 +627,7 @@ class RequestScheduler:
             job.inputs[name] = ct
             job.digests[name] = digest
 
-    def _share(self, jobs: list[_Job],
-               batch_span: Span | None = None) -> None:
+    def _share(self, jobs: list[_Job], batch_span: Span) -> None:
         """Run one merged window plan per tenant; seed every member.
 
         Jobs of one tenant (and slot count) that bind a blob another of
@@ -712,7 +643,7 @@ class RequestScheduler:
         groups: dict[tuple[str, int], list[_Job]] = {}
         for job in jobs:
             groups.setdefault((job.request.tenant,
-                               job.plan.program.n_slots), []).append(job)
+                               job.request.program.n_slots), []).append(job)
         for (tenant, _), members in groups.items():
             bound = Counter(digest for job in members
                             for digest in set(job.digests.values()))
@@ -720,18 +651,19 @@ class RequestScheduler:
                        if any(bound[d] >= 2 for d in job.digests.values())]
             if not members:
                 continue
-            group_span = None
+            group_span = NULL_SPAN
             try:
-                window = merge_window([(job.plan, self._keys(job),
-                                        job.digests) for job in members])
+                window = merge_window([
+                    (job.entry.plan, job.entry.derive("keys", plan_keys),
+                     job.digests) for job in members])
                 if window is None:
                     continue
-                if batch_span is not None:
-                    group_span = batch_span.child(
-                        "coalesce_group", cat="sched", tenant=tenant,
-                        members=len(members), nodes=len(window.plan.order))
+                group_span = batch_span.child(
+                    "coalesce_group", cat="sched", tenant=tenant,
+                    members=len(members), nodes=len(window.plan.order))
                 tally_before = (_obs_kernel.snapshot()
-                                if _obs_kernel._ENABLED else None)
+                                if group_span and _obs_kernel._ENABLED
+                                else None)
                 inputs = {digest: job.inputs[name] for job in members
                           for name, digest in job.digests.items()}
                 results = execute_subgraph(
@@ -745,48 +677,34 @@ class RequestScheduler:
                     job.cse_seeded, job.coalesced = seeded, coalesced
                 self._m_raises_saved.inc(window.raises_saved)
                 self._m_cse.inc(max(0, sum(window.cse_seeded) - 1))
-                if group_span is not None:
-                    if tally_before is not None:
-                        group_span.annotate(
-                            **{field: count for field, count
-                               in _obs_kernel.delta(tally_before).items()
-                               if count})
-                    group_span.end()
-            except Exception as exc:
-                if group_span is not None:
-                    group_span.annotate(error=type(exc).__name__)
-                    group_span.end()
-                continue  # the tenant's jobs run on their own
-
-    def _keys(self, job: _Job) -> PlanKeys:
-        """Window-plan node keys, cached by plan-cache key."""
-        keys = self._plan_keys.get(job.cache_key)
-        if keys is None:
-            keys = self._plan_keys[job.cache_key] = plan_keys(job.plan)
-        return keys
+                if tally_before is not None:
+                    group_span.annotate(
+                        **{field: count for field, count
+                           in _obs_kernel.delta(tally_before).items()
+                           if count})
+            except Exception as exc:  # the tenant's jobs run on their own
+                group_span.annotate(error=type(exc).__name__)
+            finally:
+                group_span.end()
 
     # ----- execution ---------------------------------------------------------
 
     async def _supervise_job(self, job: _Job) -> None:
         """Run one admitted job under supervision; settle its future."""
         label = f"{job.request.tenant}/{job.request.program.name}"
-        if job.span is not None:
-            job.supervise_span = job.span.child("supervise", cat="sched")
+        span = job.supervise_span = job.span.child("supervise", cat="sched")
         try:
             result, attempts = await self.supervisor.supervise(
                 functools.partial(self._run_attempt, job),
-                estimate_s=job.estimate, label=label,
-                span=job.supervise_span)
+                estimate_s=job.estimate, label=label, span=span)
         except Exception as exc:
-            if job.supervise_span is not None:
-                job.supervise_span.annotate(error=type(exc).__name__)
-                job.supervise_span.end()
+            span.annotate(error=type(exc).__name__)
+            span.end()
             self._settle(job, "failed", exc, outcome=type(exc).__name__,
                          attempts=job.attempt_no or None)
             return
-        if job.supervise_span is not None:
-            job.supervise_span.annotate(attempts=attempts)
-            job.supervise_span.end()
+        span.annotate(attempts=attempts)
+        span.end()
         result.attempts = attempts
         self._settle(job, "completed", result)
 
@@ -805,14 +723,14 @@ class RequestScheduler:
             attempt_no = job.attempt_no
         self._journal("started" if attempt_no == 1 else "retried", job,
                       attempt=attempt_no)
-        attempt_span = None
-        if job.span is not None:
-            attempt_span = (job.supervise_span or job.span).child(
-                "execute_attempt", cat="exec", attempt=attempt_no)
+        attempt_span = job.supervise_span.child(
+            "execute_attempt", cat="exec", attempt=attempt_no)
         try:
-            self._inject_worker_faults(job, cancel)
+            profile = job.entry.derive("noise", self.noise_tracker.profile)
+            self.fault_plan.before_attempt(
+                self.registry, tenant, job.request.program.name, cancel)
             session = self.registry.session(tenant)
-            needed = job.plan.required_rotations()
+            needed = job.entry.plan.required_rotations()
             missing = session.missing_amounts(needed)
             if missing:
                 # The evicted-key race: admission saw these keys, an LRU
@@ -820,32 +738,27 @@ class RequestScheduler:
                 # re-upload may restore them before the retry.
                 raise KeyEvictedError(tenant, missing)
             session.touch(needed, self.registry)
-            outputs = execute(job.plan, session.evaluator, job.inputs,
+            outputs = execute(job.entry.plan, session.evaluator, job.inputs,
                               seeded_nodes=job.seeded_nodes,
                               should_cancel=cancel.is_set,
-                              span=attempt_span,
-                              noise=self.noise_tracker)
+                              span=attempt_span or None, noise=profile)
             blobs = {name: wire.serialize_ciphertext(ct, self.ring.params)
                      for name, ct in outputs.items()}
         except Exception as exc:
-            if attempt_span is not None:
-                attempt_span.annotate(error=type(exc).__name__)
-                attempt_span.end()
+            attempt_span.annotate(error=type(exc).__name__)
+            attempt_span.end()
             raise
         wall = time.perf_counter() - t0
         self._m_wall.observe(wall, tenant=tenant)
-        headroom, risk = self._score_numeric_health(job)
-        if job.estimate is not None and job.estimate > 0 \
-                and job.cache_key is not None:
+        headroom, risk = self._score_numeric_health(job, profile)
+        if job.estimate is not None and job.estimate > 0:
             ratio = self.calibration.record(
                 job.cache_key, job.estimate, wall, tenant=tenant,
                 program=job.request.program.name)
-            if attempt_span is not None:
-                attempt_span.annotate(calibration_ratio=round(ratio, 4))
-        if attempt_span is not None:
-            if headroom is not None:
-                attempt_span.annotate(headroom_bits=round(headroom, 2))
-            attempt_span.end()
+            attempt_span.annotate(calibration_ratio=round(ratio, 4))
+        if headroom is not None:
+            attempt_span.annotate(headroom_bits=round(headroom, 2))
+        attempt_span.end()
         with self._stats_lock:
             session.jobs_run += 1
         return JobResult(
@@ -860,28 +773,11 @@ class RequestScheduler:
             headroom_bits=headroom,
             precision_at_risk=risk)
 
-    def _noise_profile(self, job: _Job) -> PlanNoiseProfile:
-        """Per-node analytic noise profile, cached by plan-cache key.
-
-        Pure function of the plan (the planner's meta fixes every input
-        level and scale), so cache hits cost one dict lookup and a
-        benign double-compute on a cold race is idempotent.
-        """
-        key = job.cache_key
-        if key is None:
-            return self.noise_tracker.profile(job.plan)
-        profile = self._noise_profiles.get(key)
-        if profile is None:
-            profile = self.noise_tracker.profile(job.plan)
-            self._noise_profiles[key] = profile
-        return profile
-
     def _score_numeric_health(
-            self, job: _Job) -> tuple[float | None,
-                                      PrecisionAtRisk | None]:
+            self, job: _Job, profile: PlanNoiseProfile
+            ) -> tuple[float | None, PrecisionAtRisk | None]:
         """Terminal headroom of a completed attempt, plus the warning
         when it fell below the configured floor."""
-        profile = self._noise_profile(job)
         headroom = profile.terminal_headroom_bits
         if headroom == float("inf"):  # plan with no outputs
             return None, None
@@ -894,31 +790,6 @@ class RequestScheduler:
                 job.request.tenant, job.request.program.name, headroom,
                 floor, worst_node=worst.node)
         return headroom, risk
-
-    def _inject_worker_faults(self, job: _Job,
-                              cancel: threading.Event) -> None:
-        """Apply the fault plan's worker-path hooks for this attempt."""
-        plan = self.fault_plan
-        if plan is None:
-            return
-        tenant = job.request.tenant
-        program = job.request.program.name
-        spec = plan.probe(FaultKind.EVICT_KEYS, tenant, program)
-        if spec is not None:
-            self.registry.evict_tenant_galois(
-                tenant, amounts=spec.amounts or None)
-        spec = plan.probe(FaultKind.STALL, tenant, program)
-        if spec is not None:
-            time.sleep(spec.stall_s)
-            if cancel.is_set():  # supervisor gave up during the stall
-                raise ExecutionCancelled(
-                    f"{tenant}/{program}: stalled past its deadline")
-        if plan.probe(FaultKind.CRASH, tenant, program) is not None:
-            raise InjectedCrash(
-                f"injected worker crash for {tenant}/{program}")
-        if plan.probe(FaultKind.TRANSIENT, tenant, program) is not None:
-            raise InjectedTransient(
-                f"injected transient fault for {tenant}/{program}")
 
     # ----- introspection -----------------------------------------------------
 
@@ -935,6 +806,14 @@ class RequestScheduler:
             "precision_at_risk_jobs": int(self._m_at_risk.total()),
             "plan_cache": self.plan_cache.stats(),
         }
+
+    def _backlog(self) -> tuple[int, int, float]:
+        """``(queue_depth, backlog_jobs, backlog_seconds)``, read under
+        the lock (the first three :class:`HealthSnapshot` fields)."""
+        queue = self._queue
+        with self._stats_lock:
+            return (0 if queue is None else queue.qsize(),
+                    self._backlog_jobs, self._backlog_seconds)
 
     def _min_headroom(self) -> dict[str, float]:
         """Worst terminal headroom per tenant (the histogram's min)."""
@@ -964,14 +843,8 @@ class RequestScheduler:
                 jobs_rejected=int(jobs.get((tenant, "rejected"), 0)),
                 precision_at_risk=int(at_risk.get((tenant,), 0)),
                 min_headroom_bits=tenant_min.get(tenant))
-        with self._stats_lock:
-            backlog_jobs = self._backlog_jobs
-            backlog_seconds = self._backlog_seconds
         return HealthSnapshot(
-            queue_depth=self._queue.qsize()
-            if self._queue is not None else 0,
-            backlog_jobs=backlog_jobs,
-            backlog_seconds=backlog_seconds,
+            *self._backlog(),
             max_queue_jobs=self.config.max_queue_jobs,
             backlog_budget_s=self.config.backlog_budget_s,
             tenants=tenants,
@@ -997,13 +870,9 @@ class RequestScheduler:
         :func:`repro.obs.enable`), and the calibration summary render
         as one exposition.
         """
-        with self._stats_lock:
-            backlog_jobs = self._backlog_jobs
-            backlog_seconds = self._backlog_seconds
-        self._g_queue_depth.set(
-            self._queue.qsize() if self._queue is not None else 0)
-        self._g_backlog_jobs.set(backlog_jobs)
-        self._g_backlog_seconds.set(backlog_seconds)
+        for gauge, value in zip((self._g_queue_depth, self._g_backlog_jobs,
+                                 self._g_backlog_seconds), self._backlog()):
+            gauge.set(value)
         for tenant, headroom in self._min_headroom().items():
             self._g_min_headroom.set(round(headroom, 3), tenant=tenant)
         for tenant, nbytes in self.registry.bytes_by_tenant().items():
@@ -1023,6 +892,16 @@ class RequestScheduler:
             parts.append(gated)
         parts.append(self.calibration.render_prometheus())
         return "".join(parts)
+
+
+def _ins2_seconds(plan: Plan) -> float:
+    """BTS cycle estimate of a plan on the paper's INS-2 instance."""
+    from repro.core.simulator import BtsSimulator
+    from repro.runtime.lowering import lower_to_trace
+
+    params = CkksParams.ins2()
+    lowered = lower_to_trace(plan, params)
+    return BtsSimulator(params).run(lowered.trace).total_seconds
 
 
 def _finish_future(future: asyncio.Future, result: JobResult) -> None:

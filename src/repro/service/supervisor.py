@@ -1,9 +1,8 @@
 """Supervised execution: deadlines, cancellation, retry, breakers.
 
-The PR-5 worker path ran a job exactly once with no time bound — one
-stalled worker froze its batch forever and one flaky failure was
-indistinguishable from a poisoned job.  This module wraps every worker
-attempt in a supervision contract:
+Every worker attempt runs under a supervision contract, so a stalled
+worker cannot freeze its batch and a flaky failure is told apart from
+a poisoned job:
 
 * **Deadlines priced from the cost model** — each attempt gets
   ``deadline = estimate x deadline_multiplier + deadline_floor_s``,
@@ -41,6 +40,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.obs.trace import NULL_SPAN
 from repro.service.errors import DeadlineExceeded, is_transient
 
 
@@ -168,7 +168,7 @@ class Supervisor:
             setattr(self, counter, getattr(self, counter) + 1)
 
     async def supervise(self, attempt_fn, estimate_s: float | None = None,
-                        label: str = "job", span=None):
+                        label: str = "job", span=NULL_SPAN):
         """Run ``attempt_fn(cancel_event)`` on the pool to completion.
 
         Returns ``(result, attempts_taken)``; raises the final
@@ -177,7 +177,8 @@ class Supervisor:
         event is set (the executor aborts at the next node boundary)
         and the attempt's eventual result is discarded.
 
-        ``span`` is an optional :class:`repro.obs.trace.Span`: every
+        ``span`` is a :class:`repro.obs.trace.Span` (default
+        :data:`~repro.obs.trace.NULL_SPAN`, untraced): every
         backoff taken opens a ``retry_backoff`` child recording the
         retry number, the jittered delay actually slept, and the error
         class that triggered it — the retry schedule becomes visible in
@@ -208,12 +209,9 @@ class Supervisor:
             if is_transient(exc) and attempt < self.config.max_retries:
                 self._bump("retries")
                 delay = self.backoff_delay(attempt)
-                if span is not None:
-                    with span.child("retry_backoff", cat="sched",
-                                    retry=attempt + 1, delay_s=delay,
-                                    error=type(exc).__name__):
-                        await asyncio.sleep(delay)
-                else:
+                with span.child("retry_backoff", cat="sched",
+                                retry=attempt + 1, delay_s=delay,
+                                error=type(exc).__name__):
                     await asyncio.sleep(delay)
                 attempt += 1
                 continue

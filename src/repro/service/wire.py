@@ -89,14 +89,24 @@ class ObjectKind(IntEnum):
     GALOIS_KEYS = 6
 
 
+#: The wire counters bound per (kind, direction) once, so an enabled
+#: blob costs two locked adds rather than two label-key builds.
+_WIRE_COUNTS = {
+    (kind, direction): (
+        _WIRE_BLOBS.bind(kind=kind.name, direction=direction),
+        _WIRE_BYTES.bind(direction=direction))
+    for kind in ObjectKind for direction in ("serialize", "deserialize")}
+
+
 # ----- low-level framing ------------------------------------------------------
 
 def _frame(kind: ObjectKind, digest: bytes, body: bytes) -> bytes:
     total = _HEADER.size + len(body) + _CRC.size
     head = _HEADER.pack(MAGIC, VERSION, kind, total, digest)
     if _obs_metrics._ENABLED:
-        _WIRE_BLOBS.inc(kind=kind.name, direction="serialize")
-        _WIRE_BYTES.inc(total, direction="serialize")
+        count_blob, count_bytes = _WIRE_COUNTS[kind, "serialize"]
+        count_blob()
+        count_bytes(total)
     return head + body + _CRC.pack(zlib.crc32(head + body))
 
 
@@ -173,8 +183,9 @@ def _open(blob: bytes, expect_kind: ObjectKind,
             f"{blob_digest.hex()}, this ring is {digest.hex()} — "
             "incompatible parameter sets")
     if _obs_metrics._ENABLED:
-        _WIRE_BLOBS.inc(kind=kind.name, direction="deserialize")
-        _WIRE_BYTES.inc(len(blob), direction="deserialize")
+        count_blob, count_bytes = _WIRE_COUNTS[kind, "deserialize"]
+        count_blob()
+        count_bytes(len(blob))
     return _Reader(blob, _HEADER.size, len(blob) - _CRC.size)
 
 

@@ -83,6 +83,20 @@ class TestCounter:
         ]
 
 
+    def test_bound_child_shares_the_sample_and_its_checks(self):
+        counter = MetricsRegistry().counter("c", labelnames=("tenant",))
+        alice = counter.bind(tenant="alice")
+        assert counter.samples() == {}  # binding records nothing
+        alice()
+        counter.inc(2, tenant="alice")
+        alice(3)
+        assert counter.samples() == {("alice",): 6.0}
+        with pytest.raises(ValueError, match="only go up"):
+            alice(-1)
+        with pytest.raises(ValueError, match="labels"):
+            counter.bind(tenant="a", extra="b")
+
+
 class TestGauge:
     def test_set_add_value(self):
         gauge = MetricsRegistry().gauge("depth")
@@ -222,6 +236,16 @@ class TestGatedFastPath:
         counter.inc()  # gate closed again: dropped
         assert not obs.enabled()
         assert counter.value() == before + 1
+
+    def test_bound_child_honours_the_gate(self, obs_disabled):
+        counter = default_registry().counter("test_gated_bound",
+                                             labelnames=("k",))
+        bound = counter.bind(k="x")
+        bound()  # gate closed: dropped
+        obs.enable()
+        bound(2)
+        obs.disable()
+        assert counter.value(k="x") == 2
 
     def test_always_on_registry_ignores_the_gate(self, obs_disabled):
         counter = MetricsRegistry().counter("c")

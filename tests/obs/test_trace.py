@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import threading
 
-from repro.obs.trace import Tracer, main, validate_chrome_trace
+import pytest
+
+from repro.obs.trace import NULL_SPAN, Tracer, main, validate_chrome_trace
 
 
 class FakeClock:
@@ -88,6 +90,27 @@ class TestSpans:
                         for e in trace["traceEvents"]
                         if e["ph"] == "M" and e["name"] == "thread_name"}
         assert "pool-thread" in thread_names
+
+
+class TestNullSpan:
+    """The untraced stand-in: falsy, inert, and never hides an error."""
+
+    def test_falsy_while_real_spans_are_truthy(self):
+        assert not NULL_SPAN
+        assert Tracer().span("real")
+
+    def test_child_returns_itself_and_methods_are_no_ops(self):
+        assert NULL_SPAN.child("admit", cat="sched", k=1) is NULL_SPAN
+        assert NULL_SPAN.child("x").child("y") is NULL_SPAN
+        NULL_SPAN.annotate(error="ignored")
+        NULL_SPAN.end()
+        with NULL_SPAN as span:
+            assert span is NULL_SPAN
+
+    def test_with_block_does_not_swallow_exceptions(self):
+        with pytest.raises(RuntimeError, match="nope"):
+            with NULL_SPAN.child("boom"):
+                raise RuntimeError("nope")
 
 
 class TestChromeExport:

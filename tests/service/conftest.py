@@ -19,23 +19,20 @@ def make_server(small_params, small_ring):
 
 
 @pytest.fixture(scope="session")
-def _client_cache(small_ring):
-    return {}
-
-
-@pytest.fixture()
-def make_client(small_ring, _client_cache):
-    """Clients keyed by (tenant, seed) — keygen is the expensive part."""
+def make_client(small_ring):
+    """Clients keyed by (tenant, seed), built once per session — keygen
+    is the expensive part, and hypothesis examples reuse them."""
 
     from repro.service.wire import serialize_params
 
     params_blob = serialize_params(small_ring.params)
+    clients: dict[tuple[str, int], TenantClient] = {}
 
     def build(tenant_id: str, seed: int) -> TenantClient:
         key = (tenant_id, seed)
-        if key not in _client_cache:
-            _client_cache[key] = TenantClient(tenant_id, params_blob,
-                                              seed=seed, ring=small_ring)
-        return _client_cache[key]
+        if key not in clients:
+            clients[key] = TenantClient(tenant_id, params_blob, seed=seed,
+                                        ring=small_ring)
+        return clients[key]
 
     return build

@@ -171,6 +171,60 @@ class TestFaultPlan:
         assert len(hits) == 10
 
 
+class _EvictionLog:
+    """Registry stand-in recording the EVICT_KEYS hook's calls."""
+
+    def __init__(self) -> None:
+        self.evicted = []
+
+    def evict_tenant_galois(self, tenant, amounts=None):
+        self.evicted.append((tenant, amounts))
+
+
+class TestFaultHooks:
+    def test_before_attempt_probes_in_fixed_order(self):
+        plan = FaultPlan([
+            FaultSpec(FaultKind.TRANSIENT, times=9),
+            FaultSpec(FaultKind.CRASH, times=1),
+            FaultSpec(FaultKind.STALL, times=9),
+            FaultSpec(FaultKind.EVICT_KEYS, times=9, amounts=(3,)),
+        ])
+        registry = _EvictionLog()
+        with pytest.raises(InjectedCrash):  # TRANSIENT is not probed
+            plan.before_attempt(registry, "t", "p", threading.Event())
+        with pytest.raises(InjectedTransient):
+            plan.before_attempt(registry, "t", "p", threading.Event())
+        assert [kind for kind, _, _ in plan.injected] == [
+            "evict_keys", "stall", "crash",
+            "evict_keys", "stall", "transient"]
+        assert registry.evicted == [("t", (3,)), ("t", (3,))]
+
+    def test_cancel_during_stall_raises_execution_cancelled(self):
+        plan = FaultPlan([FaultSpec(FaultKind.STALL, stall_s=0.01),
+                          FaultSpec(FaultKind.CRASH)])
+        cancel = threading.Event()
+        cancel.set()  # the supervisor gave up while the worker slept
+        with pytest.raises(ExecutionCancelled, match="stalled"):
+            plan.before_attempt(_EvictionLog(), "t", "p", cancel)
+        assert plan.count(FaultKind.CRASH) == 0  # aborted before CRASH
+
+    def test_misprice_scales_only_when_a_spec_fires(self):
+        plan = FaultPlan([FaultSpec(FaultKind.MISPRICE, program="p",
+                                    factor=4.0)])
+        assert plan.misprice(0.5, "t", "other") == 0.5
+        assert plan.misprice(0.5, "t", "p") == 2.0
+        assert plan.misprice(0.5, "t", "p") == 0.5  # times=1 spent
+
+    def test_empty_plan_is_a_no_op(self):
+        plan, registry = FaultPlan(), _EvictionLog()
+        cancel = threading.Event()
+        cancel.set()
+        plan.before_attempt(registry, "t", "p", cancel)
+        assert plan.misprice(0.25, "t", "p") == 0.25
+        assert plan.corrupt(b"blob", "t", "p") == b"blob"
+        assert registry.evicted == [] and plan.injected == []
+
+
 # ----- unit: the supervisor ---------------------------------------------------
 
 class TestSupervisor:

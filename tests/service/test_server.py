@@ -8,11 +8,14 @@ pure scheduling win, never a numerics change.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
-from repro.runtime import OpCode, PlannerConfig, Program, plan_program, \
-    structural_hash
+from repro.obs.events import JobJournal, read_journal
+from repro.runtime import OpCode, PlanCache, PlannerConfig, Program, \
+    plan_cache_key, plan_program, structural_hash
 from repro.service import AdmissionError, JobRequest, ServiceConfig
 
 
@@ -105,6 +108,62 @@ class TestPlanCache:
         results = server.serve(reqs)
         assert [r.plan_cache_hit for r in results].count(True) >= 2
         assert server.scheduler.plan_cache.stats()["misses"] == 1
+
+
+class TestDerivedPlanState:
+    """Plan-derived values (admission estimate, noise profile, window
+    keys) live on the plan's cache entry and are evicted with it."""
+
+    def test_derived_state_is_bounded_by_the_plan_cache(
+            self, make_server, make_client):
+        sink = io.StringIO()
+        server = make_server(config=ServiceConfig(
+            max_job_seconds=10.0, default_job_cost_s=7.0,
+            events=JobJournal(sink)))
+        client = make_client("alice", 11)
+        server.open_session("alice", client.hello_blob())
+        server.register_keys("alice", relin=client.relin_blob(),
+                             galois=client.galois_blob(range(1, 8)))
+        scheduler = server.scheduler
+        scheduler.plan_cache = cache = PlanCache(capacity=2)
+        blob = client.encrypt_blob(np.linspace(-0.4, 0.4, 8))
+        programs = [stencil_program([a, a + 1], name=f"p{a}")
+                    for a in range(1, 6)]
+        first = {}
+        for prog in programs:  # two jobs per window: they share the blob
+            first[prog.name] = server.serve(
+                [JobRequest("alice", prog, {"x": blob})
+                 for _ in range(2)])[0]
+        keys = [plan_cache_key(prog, scheduler.planner_config,
+                               server.ring.params.digest)
+                for prog in programs]
+        assert [k for k in keys if cache.entry(k)] == keys[-2:]
+        for key in keys[-2:]:
+            assert set(cache.entry(key).derived) \
+                == {"estimate", "noise", "keys"}
+        for name, value in vars(scheduler).items():
+            if isinstance(value, dict):  # no sidecar keyed by plan
+                assert not set(value) & set(keys), name
+
+        # The evicted program: priced at the default by its submit,
+        # then re-planned, re-estimated and re-profiled on admission.
+        again = server.serve([JobRequest("alice", programs[0],
+                                         {"x": blob})])[0]
+        entry = cache.entry(keys[0])
+        assert not again.plan_cache_hit
+        assert set(entry.derived) >= {"estimate", "noise"}
+        assert again.estimated_seconds == entry.derived["estimate"] \
+            == first["p1"].estimated_seconds
+        assert again.headroom_bits == first["p1"].headroom_bits
+        assert again.outputs == first["p1"].outputs
+        # A resident program's next submit is priced at its estimate.
+        server.serve([JobRequest("alice", programs[0], {"x": blob})])
+        costs = [r.get("cost_s") for r in read_journal(
+                     io.StringIO(sink.getvalue()))
+                 if r["event"] == "submitted" and r["program"] == "p1"]
+        assert costs == [7.0, 7.0, 7.0,
+                         round(entry.derived["estimate"], 6) or None]
+        server.shutdown()
 
 
 class TestAdmission:
