@@ -8,13 +8,16 @@ honest: when a compiler or cffi is missing, the platform lacks
 returns ``None`` and :mod:`repro.ckks.modmath` keeps running on the
 pure-NumPy path that doubles as the bit-identity oracle.
 
-The kernel set: the strided element-wise primitives behind
-:mod:`repro.ckks.modmath` (``nm_mulhi64``, ``nm_mul128``,
-``nm_mul_mod``, ``nm_barrett_reduce128``, ``nm_mul_mod_shoup``,
-``nm_mul_mod_add``), the fused BConv accumulate-reduce ``nm_bconv``,
-and the whole-transform batched NTTs ``nm_ntt_forward`` /
+The kernel set (ABI 5) holds only kernels with a production caller:
+the strided element-wise primitives behind :mod:`repro.ckks.modmath`
+(``nm_mul_mod``, ``nm_mul_mod_shoup``, and ``nm_mul_mod_add`` for the
+evk inner product), the fused BConv accumulate-reduce ``nm_bconv``, and
+the whole-transform batched NTTs ``nm_ntt_forward`` /
 ``nm_ntt_inverse`` that :class:`~repro.ckks.ntt.BatchedNttContext`
-calls once per transform.
+calls once per transform.  ``mulhi64``, ``mul128``,
+``barrett_reduce128`` and ``mul_mod_shoup_lazy`` have no native entry:
+their NumPy forms are the oracle, and the C kernels above do that
+arithmetic inside their own loops.
 
 Backend selection is owned by :mod:`repro.ckks.modmath` (the
 ``REPRO_MODMATH_BACKEND`` env var / :func:`~repro.ckks.modmath.set_backend`);
@@ -45,7 +48,7 @@ from pathlib import Path
 
 #: Must match NM_ABI_VERSION in modmath_native.c; bump both when the
 #: kernel set or any signature changes.
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 _SRC = Path(__file__).with_name("modmath_native.c")
 
@@ -53,35 +56,18 @@ _SRC = Path(__file__).with_name("modmath_native.c")
 CDEF = """
 int64_t nm_abi_version(void);
 int64_t nm_selftest(void);
-void nm_mulhi64(int64_t ndim, const int64_t *dims,
-                char *out, const int64_t *so,
-                const char *a, const int64_t *sa,
-                const char *b, const int64_t *sb);
-void nm_mul128(int64_t ndim, const int64_t *dims,
-               char *out_hi, const int64_t *sh,
-               char *out_lo, const int64_t *sl,
-               const char *a, const int64_t *sa,
-               const char *b, const int64_t *sb);
 void nm_mul_mod(int64_t ndim, const int64_t *dims,
                 char *out, const int64_t *so,
                 const char *a, const int64_t *sa,
                 const char *b, const int64_t *sb,
                 const char *m, const int64_t *sm,
                 const char *mu, const int64_t *smu);
-void nm_barrett_reduce128(int64_t ndim, const int64_t *dims,
-                          char *out, const int64_t *so,
-                          const char *hi, const int64_t *shi,
-                          const char *lo, const int64_t *slo,
-                          const char *m, const int64_t *sm,
-                          const char *mu_hi, const int64_t *smh,
-                          const char *mu_lo, const int64_t *sml);
 void nm_mul_mod_shoup(int64_t ndim, const int64_t *dims,
                       char *out, const int64_t *so,
                       const char *a, const int64_t *sa,
                       const char *w, const int64_t *sw,
                       const char *ws, const int64_t *sws,
-                      const char *m, const int64_t *sm,
-                      int64_t lazy);
+                      const char *m, const int64_t *sm);
 void nm_mul_mod_add(int64_t ndim, const int64_t *dims,
                     char *out, const int64_t *so,
                     const char *acc, const int64_t *sacc,

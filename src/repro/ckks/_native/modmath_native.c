@@ -5,17 +5,17 @@
  * Barrett/Shoup reduction, one fused pass per kernel instead of the
  * ~10-30 NumPy ufunc dispatches the pure-Python 32-bit-limb ladder
  * pays.  Every kernel is *exact* and bit-identical to the NumPy
- * reference in repro/ckks/modmath.py: outputs are either canonical
- * residues (mul_mod, barrett_reduce128, mul_mod_shoup) or the precisely
- * defined lazy representative r = a*w - floor(a*w_shoup / 2^64) * m
- * (mul_mod_shoup_lazy), so both backends agree bit for bit, not merely
- * modulo q.
+ * reference in repro/ckks/modmath.py: outputs are canonical residues,
+ * so both backends agree bit for bit, not merely modulo q.
  *
- * Kernel set: the element-wise primitives (mulhi64, mul128, mul_mod,
- * barrett_reduce128, mul_mod_shoup, mul_mod_add), the fused BConv
- * accumulate-reduce (bconv) and the whole negacyclic NTTs over a
- * residue matrix (ntt_forward, ntt_inverse: every stage of every row in
- * one call).
+ * Kernel set (ABI 5): only kernels with a production caller.  The
+ * element-wise primitives mul_mod, mul_mod_shoup and mul_mod_add (the
+ * evk inner product), the fused BConv accumulate-reduce (bconv) and
+ * the whole negacyclic NTTs over a residue matrix (ntt_forward,
+ * ntt_inverse: every stage of every row in one call).  The 128-bit
+ * helpers nm_mulhi and nm_barrett128 are static: bconv, the Shoup
+ * multiplies and the self-test use them, nothing calls them from
+ * Python.
  *
  * Iteration model of the element-wise primitives: the Python wrapper
  * broadcasts every operand to the output shape (broadcast axes become
@@ -41,7 +41,7 @@ typedef unsigned __int128 u128;
 
 /* ABI version stamp: the loader refuses a stale shared object whose
  * kernel set no longer matches the cdef it was compiled against. */
-#define NM_ABI_VERSION 4
+#define NM_ABI_VERSION 5
 
 i64 nm_abi_version(void) { return NM_ABI_VERSION; }
 
@@ -71,48 +71,6 @@ static inline const char *nm_off(const char *base, const i64 *strides,
 
 #define NM_RD(p, stride, c) (*(const u64 *)((const char *)(p) + (c) * (stride)))
 #define NM_WR(p, stride, c) (*(u64 *)((char *)(p) + (c) * (stride)))
-
-/* ----- mulhi64: high 64 bits of the 128-bit product ------------------ */
-
-void nm_mulhi64(i64 ndim, const i64 *dims,
-                char *out, const i64 *so,
-                const char *a, const i64 *sa,
-                const char *b, const i64 *sb) {
-    i64 idx[NM_MAX_NDIM] = {0};
-    const i64 inner = dims[ndim - 1];
-    const i64 oi = so[ndim - 1], ai = sa[ndim - 1], bi = sb[ndim - 1];
-    do {
-        char *po = (char *)nm_off(out, so, idx, ndim);
-        const char *pa = nm_off(a, sa, idx, ndim);
-        const char *pb = nm_off(b, sb, idx, ndim);
-        for (i64 c = 0; c < inner; c++)
-            NM_WR(po, oi, c) = nm_mulhi(NM_RD(pa, ai, c), NM_RD(pb, bi, c));
-    } while (nm_step(ndim, dims, idx));
-}
-
-/* ----- mul128: full (hi, lo) product --------------------------------- */
-
-void nm_mul128(i64 ndim, const i64 *dims,
-               char *out_hi, const i64 *sh,
-               char *out_lo, const i64 *sl,
-               const char *a, const i64 *sa,
-               const char *b, const i64 *sb) {
-    i64 idx[NM_MAX_NDIM] = {0};
-    const i64 inner = dims[ndim - 1];
-    const i64 hi_i = sh[ndim - 1], lo_i = sl[ndim - 1];
-    const i64 ai = sa[ndim - 1], bi = sb[ndim - 1];
-    do {
-        char *ph = (char *)nm_off(out_hi, sh, idx, ndim);
-        char *pl = (char *)nm_off(out_lo, sl, idx, ndim);
-        const char *pa = nm_off(a, sa, idx, ndim);
-        const char *pb = nm_off(b, sb, idx, ndim);
-        for (i64 c = 0; c < inner; c++) {
-            u128 p = (u128)NM_RD(pa, ai, c) * NM_RD(pb, bi, c);
-            NM_WR(ph, hi_i, c) = (u64)(p >> 64);
-            NM_WR(pl, lo_i, c) = (u64)p;
-        }
-    } while (nm_step(ndim, dims, idx));
-}
 
 /* ----- single-word Barrett mul_mod ----------------------------------- *
  * Canonical a, b < m; k = bit_length(m); mu = floor(2^2k / m).
@@ -171,7 +129,8 @@ void nm_mul_mod(i64 ndim, const i64 *dims,
 /* ----- two-word Barrett reduction of a 128-bit value ------------------ *
  * mu = floor(2^128 / m) as (mu_hi, mu_lo).  q_hat = floor(x*mu / 2^128)
  * computed exactly; remainder < 3m, two corrections.  Canonical output,
- * identical to both NumPy routes (generic and lazy128 fold).           */
+ * identical to both NumPy routes of barrett_reduce128 (generic and
+ * lazy128 fold); nm_bconv reduces its accumulated sums with it.        */
 
 static inline u64 nm_barrett128(u64 hi, u64 lo, u64 m, u64 mu_hi,
                                 u64 mu_lo) {
@@ -187,40 +146,14 @@ static inline u64 nm_barrett128(u64 hi, u64 lo, u64 m, u64 mu_hi,
     return r;
 }
 
-void nm_barrett_reduce128(i64 ndim, const i64 *dims,
-                          char *out, const i64 *so,
-                          const char *hi, const i64 *shi,
-                          const char *lo, const i64 *slo,
-                          const char *m, const i64 *sm,
-                          const char *mu_hi, const i64 *smh,
-                          const char *mu_lo, const i64 *sml) {
-    i64 idx[NM_MAX_NDIM] = {0};
-    const i64 inner = dims[ndim - 1];
-    const i64 oi = so[ndim - 1], hii = shi[ndim - 1], loi = slo[ndim - 1];
-    const i64 mi = sm[ndim - 1], mhi = smh[ndim - 1], mli = sml[ndim - 1];
-    do {
-        char *po = (char *)nm_off(out, so, idx, ndim);
-        const char *ph = nm_off(hi, shi, idx, ndim);
-        const char *pl = nm_off(lo, slo, idx, ndim);
-        const char *pm = nm_off(m, sm, idx, ndim);
-        const char *pmh = nm_off(mu_hi, smh, idx, ndim);
-        const char *pml = nm_off(mu_lo, sml, idx, ndim);
-        for (i64 c = 0; c < inner; c++)
-            NM_WR(po, oi, c) = nm_barrett128(
-                NM_RD(ph, hii, c), NM_RD(pl, loi, c), NM_RD(pm, mi, c),
-                NM_RD(pmh, mhi, c), NM_RD(pml, mli, c));
-    } while (nm_step(ndim, dims, idx));
-}
-
-/* ----- Shoup multiplies ---------------------------------------------- */
+/* ----- Shoup multiply: canonical (a * w) mod m ------------------------ */
 
 void nm_mul_mod_shoup(i64 ndim, const i64 *dims,
                       char *out, const i64 *so,
                       const char *a, const i64 *sa,
                       const char *w, const i64 *sw,
                       const char *ws, const i64 *sws,
-                      const char *m, const i64 *sm,
-                      i64 lazy) {
+                      const char *m, const i64 *sm) {
     i64 idx[NM_MAX_NDIM] = {0};
     const i64 inner = dims[ndim - 1];
     const i64 oi = so[ndim - 1], ai = sa[ndim - 1];
@@ -236,7 +169,7 @@ void nm_mul_mod_shoup(i64 ndim, const i64 *dims,
             const u64 mv = NM_RD(pm, mi, c);
             u64 q = nm_mulhi(av, NM_RD(pws, wsi, c));
             u64 r = av * NM_RD(pw, wi, c) - q * mv;
-            if (!lazy && r >= mv) r -= mv;
+            if (r >= mv) r -= mv;
             NM_WR(po, oi, c) = r;
         }
     } while (nm_step(ndim, dims, idx));

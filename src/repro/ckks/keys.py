@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ckks.cipher import Ciphertext
-from repro.ckks.modmath import shoup_precompute
 from repro.ckks.params import PrimeContext, RingContext
 from repro.ckks.random_sampler import Sampler
 from repro.ckks.rns import RnsPolynomial
@@ -63,46 +62,34 @@ class PublicKey:
 
 @dataclass
 class EvaluationKey:
-    """dnum slices of (b_j, a_j) over the full base C_L + B (NTT domain)."""
+    """dnum slices of (b_j, a_j) over the full base C_L + B (NTT domain).
+
+    Slice ``j`` is stored once, as the ``(2, L+1+k, N)`` residue array
+    ``stacked[j]``: ``[0]`` holds b_j and ``[1]`` holds a_j, rows in
+    full-base order (the ``L+1`` q primes, then the ``k`` special
+    primes).  ``slices`` are row views of those arrays, so keygen, the
+    wire codec and every reader of ``slices`` see the same polynomials,
+    and the stacked arrays are all the memory the key holds.  The
+    key-switch of :func:`~repro.ckks.keyswitch.key_switch_accumulate`
+    reads a working base ``C_level + B`` in place: ``C_level`` is the
+    leading ``level+1`` rows and ``B`` the trailing ``k`` rows.
+    """
 
     slices: tuple[tuple[RnsPolynomial, RnsPolynomial], ...]
-    _restricted: dict = field(default_factory=dict, repr=False, compare=False)
+    stacked: tuple[np.ndarray, ...] = field(init=False, repr=False,
+                                            compare=False)
+
+    def __post_init__(self) -> None:
+        self.stacked = tuple(np.stack([b.residues, a.residues])
+                             for b, a in self.slices)
+        self.slices = tuple(
+            (RnsPolynomial(b.base, pair[0], b.is_ntt),
+             RnsPolynomial(a.base, pair[1], a.is_ntt))
+            for (b, a), pair in zip(self.slices, self.stacked))
 
     @property
     def dnum(self) -> int:
         return len(self.slices)
-
-    def slices_for_base(self, base: tuple[PrimeContext, ...]
-                        ) -> tuple[tuple[RnsPolynomial, RnsPolynomial,
-                                         np.ndarray, np.ndarray], ...]:
-        """Level-restricted slices plus their Shoup tables, cached per base.
-
-        ``key_switch_raised`` only needs the ``k + level + 1`` limbs of
-        the working base; restricting copies the full residue matrix, so
-        the copies are kept (keyed by the base's prime chain) instead of
-        being rebuilt on every key-switch.  The evk residues are fixed
-        multiplicands, so each slice also carries precomputed Shoup
-        constants and the inner-product multiply runs on the cheap
-        single-high-multiply path.
-        """
-        key = tuple(p.value for p in base)
-        cached = self._restricted.get(key)
-        if cached is None:
-            keep = set(key)
-            quads = []
-            for b, a in self.slices:
-                b_lvl = b.restrict(
-                    tuple(p for p in b.base if p.value in keep))
-                a_lvl = a.restrict(
-                    tuple(p for p in a.base if p.value in keep))
-                quads.append((b_lvl, a_lvl,
-                              shoup_precompute(b_lvl.residues,
-                                               b_lvl.moduli),
-                              shoup_precompute(a_lvl.residues,
-                                               a_lvl.moduli)))
-            cached = tuple(quads)
-            self._restricted[key] = cached
-        return cached
 
 
 class KeyGenerator:

@@ -43,15 +43,14 @@ giant step) and :meth:`~repro.ckks.evaluator.Evaluator.rotate_reduce`
 from __future__ import annotations
 
 from repro.ckks.keys import EvaluationKey
-from repro.ckks.modmath import (
-    active_backend,
-    add_mod,
-    mul_mod_add,
-    mul_mod_shoup,
-    workspace_buffer,
-)
+from repro.ckks.modmath import mul_mod_add, mul_mod_shoup
 from repro.ckks.params import PrimeContext, RingContext
-from repro.ckks.rns import RnsPolynomial, StackedTransform, base_convert
+from repro.ckks.rns import (
+    RnsPolynomial,
+    StackedTransform,
+    base_convert,
+    base_modulus_vector,
+)
 from repro.obs import kernel as _obs_kernel
 
 import numpy as np
@@ -282,37 +281,30 @@ def key_switch_accumulate(raised: list[RnsPolynomial], evk: EvaluationKey,
     double-hoisting trick — keep several such pairs in the extended
     base, combine them linearly (plaintext multiplies, additions), and
     ModDown once for the whole combination.
+
+    The evk is read in place: each digit multiply-accumulates into one
+    ``(2, level+1+k, N)`` array with two :func:`mul_mod_add` calls, one
+    over the leading ``level+1`` rows of the full-base slice
+    (``C_level``) and one over its trailing ``k`` rows (``B``), each
+    covering both halves.  Both backends run this one path and produce
+    the same canonical residues.
     """
     if len(raised) > evk.dnum:
         raise ValueError("evk has fewer slices than the decomposition")
+    rows = level + 1
+    top = ring.max_level + 1  # first special-prime row of the full base
+    c_moduli = base_modulus_vector(ring.base_q(level))
+    b_moduli = base_modulus_vector(ring.base_p)
+    acc = np.zeros((2, rows + len(ring.base_p), raised[0].n),
+                   dtype=np.uint64)
+    acc_c, acc_b = acc[:, :rows], acc[:, rows:]
+    for digit, pair in zip(raised, evk.stacked):
+        x = digit.residues
+        mul_mod_add(acc_c, x[:rows], pair[:, :rows], c_moduli, out=acc_c)
+        mul_mod_add(acc_b, x[rows:], pair[:, top:], b_moduli, out=acc_b)
     working_base = ring.base_qp(level)
-    level_slices = evk.slices_for_base(working_base)
-    acc_b = RnsPolynomial.zeros(working_base, raised[0].n, is_ntt=True)
-    acc_a = RnsPolynomial.zeros(working_base, raised[0].n, is_ntt=True)
-    moduli = acc_b.moduli
-    # Under the native backend the multiply-accumulate fuses into one
-    # strided C pass per digit (nm_mul_mod_add); the NumPy route keeps
-    # the Shoup multiply, whose precomputed constants beat a generic
-    # Barrett there.  Both produce the same canonical residues.
-    fused = active_backend() == "native"
-    for slice_poly, (evk_b, evk_a, b_shoup, a_shoup) in zip(raised,
-                                                            level_slices):
-        if fused:
-            mul_mod_add(acc_b.residues, slice_poly.residues,
-                        evk_b.residues, moduli, out=acc_b.residues)
-            mul_mod_add(acc_a.residues, slice_poly.residues,
-                        evk_a.residues, moduli, out=acc_a.residues)
-            continue
-        # evk residues are fixed multiplicands: Shoup-multiply them in.
-        prod = mul_mod_shoup(slice_poly.residues, evk_b.residues, b_shoup,
-                             moduli,
-                             out=workspace_buffer("ks.prod",
-                                                  acc_b.residues.shape))
-        add_mod(acc_b.residues, prod, moduli, out=acc_b.residues)
-        mul_mod_shoup(slice_poly.residues, evk_a.residues, a_shoup,
-                      moduli, out=prod)
-        add_mod(acc_a.residues, prod, moduli, out=acc_a.residues)
-    return acc_b, acc_a
+    return (RnsPolynomial(working_base, acc[0], True),
+            RnsPolynomial(working_base, acc[1], True))
 
 
 def key_switch_raised(raised: list[RnsPolynomial], evk: EvaluationKey,

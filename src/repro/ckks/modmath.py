@@ -16,9 +16,11 @@ tests in ``tests/ckks/test_modmath.py``.
 Backends
 --------
 
-The hot primitives (``mulhi64``, ``mul128``, ``barrett_reduce128``,
-``mul_mod``, ``mul_mod_shoup``/``_lazy``, ``mul_mod_add``) dispatch
-through a backend registry:
+The element-wise primitives with a production caller (``mul_mod``,
+``mul_mod_shoup``, ``mul_mod_add``) dispatch through a backend registry
+(``mulhi64``, ``mul128``, ``barrett_reduce128`` and
+``mul_mod_shoup_lazy`` are NumPy only: the native BConv and NTT kernels
+do that arithmetic inside their own C loops):
 
 * ``numpy`` — the 32-bit-limb ladder implemented in this file.  Always
   available; it is the default-buildable fallback **and** the
@@ -35,8 +37,9 @@ but warns, so CI can also make the build a hard step; ``numpy`` disables
 dispatch entirely.  :func:`set_backend` overrides the env var at
 runtime (tests use this to run the differential tiers under both
 backends in one process).  Because every kernel funnels through these
-functions, the NTT engines, BConv, evk products and Shoup multiplies
-all inherit the selected backend with no call-site changes.
+functions, the evk products, scalar multiplies and Shoup multiplies
+inherit the selected backend with no call-site changes; the NTT engine
+and BConv pick their whole-kernel native entry from the same selection.
 
 Performance notes (limb-batched layout)
 ---------------------------------------
@@ -101,8 +104,8 @@ class _Workspace(threading.local):
     jobs on a worker pool, and two threads sharing one scratch buffer
     would silently corrupt each other's kernels mid-flight.  Each worker
     pays its own (bounded) scratch footprint instead; every other shared
-    cache on the hot path (twiddle planes, BConv tables, evk
-    restrictions) is compute-once read-only and therefore race-benign.
+    cache on the hot path (twiddle planes, BConv tables, scalar
+    columns) is compute-once read-only and therefore race-benign.
     """
 
     def __init__(self) -> None:
@@ -206,25 +209,23 @@ def _native_ok(out: np.ndarray) -> bool:
     return 1 <= out.ndim <= _NATIVE_MAX_NDIM and out.dtype == np.uint64
 
 
-def _nm_call(handle, fname: str, out_arrays, in_arrays, extra=()):
-    """Invoke a strided native kernel over ``out_arrays[0].shape``.
+def _nm_call(handle, fname: str, out: np.ndarray, in_arrays) -> None:
+    """Invoke a strided native kernel over ``out.shape``.
 
-    Every operand is broadcast to the output shape (broadcast axes get
+    Every input is broadcast to the output shape (broadcast axes get
     stride 0) and passed as a ``(pointer, byte-strides)`` pair, so any
     NumPy view — column constants, tiled planes, transposed slabs —
     works without a copy.  ``keep`` pins the views and stride buffers
     for the duration of the call.
     """
     ffi = handle.ffi
-    shape = out_arrays[0].shape
+    shape = out.shape
     dims = np.asarray(shape, dtype=np.int64)
-    keep = [dims]
-    args = [len(shape), ffi.cast("const int64_t *", dims.ctypes.data)]
-    for arr in out_arrays:
-        st = np.asarray(arr.strides, dtype=np.int64)
-        keep += [arr, st]
-        args += [ffi.cast("char *", arr.ctypes.data),
-                 ffi.cast("const int64_t *", st.ctypes.data)]
+    st = np.asarray(out.strides, dtype=np.int64)
+    keep = [dims, out, st]
+    args = [len(shape), ffi.cast("const int64_t *", dims.ctypes.data),
+            ffi.cast("char *", out.ctypes.data),
+            ffi.cast("const int64_t *", st.ctypes.data)]
     for arr in in_arrays:
         view = arr if getattr(arr, "shape", None) == shape \
             else np.broadcast_to(arr, shape)
@@ -232,7 +233,7 @@ def _nm_call(handle, fname: str, out_arrays, in_arrays, extra=()):
         keep += [view, st]
         args += [ffi.cast("const char *", view.ctypes.data),
                  ffi.cast("const int64_t *", st.ctypes.data)]
-    getattr(handle.lib, fname)(*args, *extra)
+    getattr(handle.lib, fname)(*args)
     del keep
 
 
@@ -279,10 +280,6 @@ def mul128(a: np.ndarray, b: np.ndarray,
         out_hi = np.empty(shape, np.uint64)
     if out_lo is None:
         out_lo = np.empty(shape, np.uint64)
-    h = _active_native()
-    if h is not None and _native_ok(out_hi) and out_lo.dtype == np.uint64:
-        _nm_call(h, "nm_mul128", (out_hi, out_lo), (a, b))
-        return out_hi, out_lo
     a0, a1 = _halves(a, _tag + ".a")
     b0, b1 = _halves(b, _tag + ".b")
     np.multiply(a, b, out=out_lo)  # wrapping multiply == low 64 bits
@@ -317,10 +314,6 @@ def mulhi64(a: np.ndarray, b: np.ndarray,
     shape = np.broadcast_shapes(a.shape, b.shape)
     if out is None:
         out = np.empty(shape, np.uint64)
-    h = _active_native()
-    if h is not None and _native_ok(out):
-        _nm_call(h, "nm_mulhi64", (out,), (a, b))
-        return out
     a0, a1 = _halves(a, "mulhi.a")
     b0, b1 = _halves(b, "mulhi.b")
     p00 = np.multiply(a0, b0, dtype=np.uint64, out=_ws.get("mulhi.p00",
@@ -482,15 +475,6 @@ def barrett_reduce128(hi: np.ndarray, lo: np.ndarray,
     """
     hi = _as_u64(hi)
     lo = _as_u64(lo)
-    h = _active_native()
-    if h is not None:
-        shape = np.broadcast_shapes(hi.shape, lo.shape, np.shape(m.u64))
-        if out is None:
-            out = np.empty(shape, np.uint64)
-        if _native_ok(out):
-            _nm_call(h, "nm_barrett_reduce128", (out,),
-                     (hi, lo, m.u64, m.mu_hi, m.mu_lo))
-            return out
     if m.lazy128_ok:
         shape = np.broadcast_shapes(hi.shape, np.shape(m.u64))
         z = mul_mod_shoup_lazy(hi, m.r64, m.r64_shoup, m,
@@ -559,7 +543,7 @@ def mul_mod(a: np.ndarray, b: np.ndarray, m: Modulus | ModulusVector,
         if out is None:
             out = np.empty(nshape, np.uint64)
         if _native_ok(out):
-            _nm_call(h, "nm_mul_mod", (out,), (a, b, m.u64, m.mu_single))
+            _nm_call(h, "nm_mul_mod", out, (a, b, m.u64, m.mu_single))
             return out
     shape = np.broadcast_shapes(a.shape, b.shape)
     hi, lo = mul128(a, b, out_hi=_ws.get("mul_mod.hi", shape),
@@ -613,7 +597,7 @@ def mul_mod_add(acc: np.ndarray, a: np.ndarray, b: np.ndarray,
         if out is None:
             out = np.empty(shape, np.uint64)
         if _native_ok(out):
-            _nm_call(h, "nm_mul_mod_add", (out,),
+            _nm_call(h, "nm_mul_mod_add", out,
                      (acc, a, b, m.u64, m.mu_single))
             return out
     prod = mul_mod(a, b, m,
@@ -698,8 +682,7 @@ def mul_mod_shoup(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
         if out is None:
             out = np.empty(shape, np.uint64)
         if _native_ok(out):
-            _nm_call(h, "nm_mul_mod_shoup", (out,),
-                     (a, w, w_shoup, m.u64), extra=(0,))
+            _nm_call(h, "nm_mul_mod_shoup", out, (a, w, w_shoup, m.u64))
             return out
     q = mulhi64(a, w_shoup,
                 out=_ws.get("shoup.q",
@@ -725,16 +708,6 @@ def mul_mod_shoup_lazy(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
     a = _as_u64(a)
     w = _as_u64(w)
     w_shoup = _as_u64(w_shoup)
-    h = _active_native()
-    if h is not None:
-        shape = np.broadcast_shapes(a.shape, w.shape, w_shoup.shape,
-                                    np.shape(m.u64))
-        if out is None:
-            out = np.empty(shape, np.uint64)
-        if _native_ok(out):
-            _nm_call(h, "nm_mul_mod_shoup", (out,),
-                     (a, w, w_shoup, m.u64), extra=(1,))
-            return out
     q = mulhi64(a, w_shoup,
                 out=_ws.get("shoup.q",
                             np.broadcast_shapes(a.shape, w_shoup.shape)))

@@ -46,7 +46,7 @@ class SlowJob:
     at_s: float        #: recorder-clock timestamp of detection
 
 
-class _PlanEntry:
+class _PlanCalibration:
     """Accumulated calibration state for one plan-cache key."""
 
     __slots__ = ("program", "programs", "count", "ratio_sum", "ratio_min",
@@ -86,11 +86,18 @@ class CalibrationRecorder:
     job slower than that was one floor away from timing out, which is
     exactly "the estimate lied".  ``clock`` stamps slow-job detections
     and is injectable for tests.
+
+    ``plans`` is where the per-plan state lives: a private dict by
+    default, or any object with the dict's ``get``, item assignment,
+    ``items`` and ``len``.  The serving scheduler passes its plan cache's
+    :meth:`~repro.runtime.planner.PlanCache.derived_view`, so a plan's
+    calibration is evicted with the plan and :meth:`summary`,
+    :meth:`stats` and the Prometheus block cover resident plans only.
     """
 
     def __init__(self, slow_factor: float | None = None,
                  window: int = 256, max_slow_log: int = 64,
-                 clock=time.monotonic) -> None:
+                 clock=time.monotonic, plans=None) -> None:
         if slow_factor is not None and slow_factor <= 0:
             raise ValueError("slow_factor must be positive")
         self.slow_factor = slow_factor
@@ -98,7 +105,7 @@ class CalibrationRecorder:
         self.max_slow_log = max(1, int(max_slow_log))
         self._clock = clock
         self._lock = threading.Lock()
-        self._plans: dict[str, _PlanEntry] = {}
+        self._plans = {} if plans is None else plans
         self._slow: list[SlowJob] = []
         self.records = 0         #: pairs recorded
         self.slow_detected = 0   #: mispricings detected (log may trim)
@@ -114,8 +121,8 @@ class CalibrationRecorder:
         with self._lock:
             entry = self._plans.get(plan_key)
             if entry is None:
-                entry = self._plans[plan_key] = _PlanEntry(
-                    program, estimate_s)
+                entry = _PlanCalibration(program, estimate_s)
+                self._plans[plan_key] = entry
             entry.program = program or entry.program
             if program:
                 entry.programs.add(program)

@@ -520,6 +520,42 @@ class PlanCache:
         """The resident entry under ``key`` (no LRU or hit-count change)."""
         return self._entries.get(key)
 
+    def derived_view(self, name: str) -> "DerivedView":
+        """``key -> entry.derived[name]`` over the resident entries."""
+        return DerivedView(self._entries, name)
+
     def stats(self) -> dict[str, int]:
         return {"entries": len(self._entries), "hits": self.hits,
                 "misses": self.misses, "capacity": self.capacity}
+
+
+class DerivedView:
+    """One named derived value of every resident plan, dict-style.
+
+    State a caller keeps here lives on the :class:`PlanEntry` and is
+    evicted with its plan.  Storing under a key whose plan is not
+    resident (evicted between lookup and store) keeps nothing.
+    """
+
+    def __init__(self, entries: OrderedDict, name: str) -> None:
+        self._entries = entries
+        self._name = name
+
+    def get(self, key: str, default=None):
+        entry = self._entries.get(key)
+        return default if entry is None \
+            else entry.derived.get(self._name, default)
+
+    def __setitem__(self, key: str, value) -> None:
+        entry = self._entries.get(key)
+        if entry is not None:
+            entry.derived[self._name] = value
+
+    def items(self) -> list:
+        """A snapshot: the cache may evict while a caller iterates."""
+        return [(key, entry.derived[self._name])
+                for key, entry in list(self._entries.items())
+                if self._name in entry.derived]
+
+    def __len__(self) -> int:
+        return len(self.items())

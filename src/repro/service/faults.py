@@ -12,8 +12,9 @@ Fault catalogue (:class:`FaultKind`) and where each hook lives:
 ========================  ====================================================
 ``CRASH``                 worker raises :class:`InjectedCrash` (terminal)
 ``TRANSIENT``             worker raises :class:`InjectedTransient` (retryable)
-``STALL``                 worker sleeps ``stall_s`` — a latency spike the
-                          supervisor's deadline must catch
+``STALL``                 worker hangs up to ``stall_s`` — a latency spike
+                          the supervisor's deadline must catch; a timed-out
+                          attempt wakes at once and frees its pool slot
 ``CORRUPT_BLOB``          one input blob byte is flipped on load (the wire
                           layer's CRC rejects it — a terminal job failure)
 ``EVICT_KEYS``            the tenant's galois keys (or just ``amounts``) are
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -129,11 +129,10 @@ class FaultPlan:
             registry.evict_tenant_galois(tenant,
                                          amounts=spec.amounts or None)
         spec = self.probe(FaultKind.STALL, tenant, program)
-        if spec is not None:
-            time.sleep(spec.stall_s)
-            if cancel.is_set():  # supervisor gave up during the stall
-                raise ExecutionCancelled(
-                    f"{tenant}/{program}: stalled past its deadline")
+        if spec is not None and cancel.wait(spec.stall_s):
+            # The supervisor gave up during the stall.
+            raise ExecutionCancelled(
+                f"{tenant}/{program}: stalled past its deadline")
         if self.probe(FaultKind.CRASH, tenant, program) is not None:
             raise InjectedCrash(
                 f"injected worker crash for {tenant}/{program}")

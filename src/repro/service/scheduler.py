@@ -264,7 +264,8 @@ class RequestScheduler:
         # to the floor) disables the slow-job log.
         multiplier = self.config.supervision.deadline_multiplier
         self.calibration = CalibrationRecorder(
-            slow_factor=multiplier if multiplier > 0 else None)
+            slow_factor=multiplier if multiplier > 0 else None,
+            plans=self.plan_cache.derived_view("calibration"))
         metrics = self.metrics
         self._m_jobs = metrics.counter(
             "fhe_jobs_total", "jobs by tenant and outcome",

@@ -128,6 +128,12 @@ class CircuitBreaker:
                     "shed": self.shed}
 
 
+def _run_started(loop, started, attempt_fn, cancel: threading.Event):
+    """Worker side: tell the loop the attempt was picked up, then run it."""
+    loop.call_soon_threadsafe(started.set_result, None)
+    return attempt_fn(cancel)
+
+
 def _swallow(future) -> None:
     """Consume the exception of an abandoned (timed-out) attempt."""
     if not future.cancelled():
@@ -173,9 +179,11 @@ class Supervisor:
 
         Returns ``(result, attempts_taken)``; raises the final
         classified error after the retry budget is spent.  Each attempt
-        gets the full priced deadline; on timeout the attempt's cancel
-        event is set (the executor aborts at the next node boundary)
-        and the attempt's eventual result is discarded.
+        gets the full priced deadline, counted from the moment a pool
+        worker picks it up (time queued behind other attempts is not
+        its own); on timeout the attempt's cancel event is set (the
+        executor aborts at the next node boundary, an injected stall at
+        once) and the attempt's eventual result is discarded.
 
         ``span`` is a :class:`repro.obs.trace.Span` (default
         :data:`~repro.obs.trace.NULL_SPAN`, untraced): every
@@ -190,7 +198,11 @@ class Supervisor:
         while True:
             self._bump("attempts")
             cancel = threading.Event()
-            future = loop.run_in_executor(self.pool, attempt_fn, cancel)
+            started = loop.create_future()
+            future = loop.run_in_executor(self.pool, _run_started, loop,
+                                          started, attempt_fn, cancel)
+            await asyncio.wait((started, future),
+                               return_when=asyncio.FIRST_COMPLETED)
             try:
                 result = await asyncio.wait_for(asyncio.shield(future),
                                                 deadline)

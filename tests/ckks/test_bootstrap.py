@@ -9,6 +9,8 @@ from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.params import CkksParams, RingContext
 from repro.ckks.sine import SineConfig, SineEvaluator
+from repro.service.registry import evk_stored_bytes
+from tests.conftest import evk_resident_bytes
 
 BOOT_SINE = SineConfig(k_range=12, degree=63, double_angles=2)
 
@@ -159,6 +161,31 @@ class TestFullPipeline:
         squared = ev.multiply(out, out)
         got = ev.decrypt_to_message(squared, kg.secret)
         assert np.max(np.abs(got - z ** 2)) < 1e-1
+
+    def test_resident_key_memory_is_the_stored_slices(self, boot_setup, rng,
+                                                      monkeypatch):
+        """Key-switches at many levels leave no per-level key copies."""
+        from repro.ckks import evaluator as evaluator_module
+        from repro.ckks import keyswitch
+
+        _, ring, kg, ev, bs = boot_setup
+        levels = set()
+        accumulate = keyswitch.key_switch_accumulate
+
+        def recorded(raised, evk, level, ring):
+            levels.add(level)
+            return accumulate(raised, evk, level, ring)
+
+        for module in (keyswitch, evaluator_module):
+            monkeypatch.setattr(module, "key_switch_accumulate", recorded)
+        z = rng.normal(size=4) * 0.5
+        bs.bootstrap(ev.drop_to_level(_encrypt(ring, kg, z + 0j), 0))
+        assert len(levels) >= 2
+        keys = {id(k): k for k in (ev.relin_key, ev.conjugation_key,
+                                   *ev.rotation_keys.values())
+                if k is not None}
+        for evk in keys.values():
+            assert evk_resident_bytes(evk) == evk_stored_bytes(evk)
 
     def test_sparse_bootstrap_runs_one_eval_mod(self, boot_setup, rng,
                                                 monkeypatch):

@@ -60,6 +60,17 @@ class TestEvaluationKeys:
             assert a.base == full
             assert b.is_ntt and a.is_ntt
 
+    def test_slices_are_views_of_one_stacked_pair(self, small_keys,
+                                                  small_ring, small_params):
+        evk = small_keys.gen_relinearization_key()
+        rows = len(small_ring.base_qp(small_params.l))
+        assert len(evk.stacked) == evk.dnum
+        for (b, a), pair in zip(evk.slices, evk.stacked):
+            assert pair.shape == (2, rows, small_params.n)
+            assert b.residues.base is pair and a.residues.base is pair
+            assert np.array_equal(pair[0], b.residues)
+            assert np.array_equal(pair[1], a.residues)
+
     def test_gadget_scalars_structure(self, small_keys, small_ring,
                                       small_params):
         """P*Q_tilde_j: P mod q_i inside block j, 0 elsewhere."""

@@ -1,10 +1,13 @@
 """Differential tier: the native modmath backend vs the NumPy oracle.
 
-Every public modmath primitive is *exactly* defined (canonical residues,
-or an exact lazy representative), so the compiled backend must agree
-with the pure-NumPy path bit for bit — on contiguous planes, strided
-views, broadcasts, scalar and vector moduli, and through every layer
-that inherits the dispatch (NTT, BConv, key-switching, full HMult).
+Every modmath primitive with a native entry (``mul_mod``,
+``mul_mod_shoup``, ``mul_mod_add``) returns canonical residues, so the
+compiled backend must agree with the pure-NumPy path bit for bit — on
+contiguous planes, strided views, broadcasts, scalar and vector moduli,
+and through every layer that inherits the dispatch (NTT, BConv,
+key-switching, full HMult).  The NumPy-only primitives (``mulhi64``,
+``mul128``, ``barrett_reduce128``, ``mul_mod_shoup_lazy``) are checked
+against big-int math in ``test_modmath.py``.
 The one-call native batched NTT is held to the per-limb ``NttContext``
 oracle and to the NumPy Stockham plan the same way.
 """
@@ -25,13 +28,10 @@ from repro.ckks.modmath import (
     ModulusVector,
     active_backend,
     available_backends,
-    barrett_reduce128,
-    mul128,
     mul_mod,
     mul_mod_add,
     mul_mod_shoup,
     mul_mod_shoup_lazy,
-    mulhi64,
     set_backend,
     shoup_precompute,
 )
@@ -94,30 +94,20 @@ class TestPrimitiveBitIdentity:
         b = rng.integers(0, 1 << 63, size=self.SHAPE).astype(np.uint64) % q
         return a, b
 
-    def test_mulhi64_and_mul128(self, rng):
-        a = rng.integers(0, 1 << 63, size=(5, 31), dtype=np.uint64)
-        b = rng.integers(0, 1 << 63, size=(5, 31), dtype=np.uint64)
-        _assert_identical(*_under_both(lambda: mulhi64(a, b)))
-        _assert_identical(*_under_both(lambda: mul128(a, b)))
-
     def test_mul_mod_vector_moduli(self, mv, planes):
         a, b = planes
         _assert_identical(*_under_both(lambda: mul_mod(a, b, mv)))
-
-    def test_barrett_reduce128_full_words(self, rng, mv):
-        hi = rng.integers(0, 1 << 63, size=self.SHAPE, dtype=np.uint64)
-        lo = rng.integers(0, 1 << 63, size=self.SHAPE, dtype=np.uint64)
-        _assert_identical(
-            *_under_both(lambda: barrett_reduce128(hi, lo, mv)))
 
     def test_shoup_canonical_and_lazy(self, mv, planes):
         a, b = planes
         w = b[0]                       # Shoup constants on an (L, 64) plane
         ws = shoup_precompute(w, mv)
-        _assert_identical(
-            *_under_both(lambda: mul_mod_shoup(a, w, ws, mv)))
-        _assert_identical(
-            *_under_both(lambda: mul_mod_shoup_lazy(a, w, ws, mv)))
+        ref, got = _under_both(lambda: mul_mod_shoup(a, w, ws, mv))
+        _assert_identical(ref, got)
+        # The NumPy-only lazy form is the native canonical result + 0 or m.
+        lazy = mul_mod_shoup_lazy(a, w, ws, mv)
+        assert np.all(lazy < 2 * mv.u64)
+        np.testing.assert_array_equal(lazy % mv.u64, got)
 
     def test_mul_mod_add_with_aliasing(self, mv, planes):
         a, b = planes
@@ -157,8 +147,7 @@ class TestPrimitiveBitIdentity:
         arr_b = np.array([b], dtype=np.uint64)
         ws = shoup_precompute(arr_b, m)
         for fn in (lambda: mul_mod(arr_a, arr_b, m),
-                   lambda: mul_mod_shoup(arr_a, arr_b, ws, m),
-                   lambda: mul_mod_shoup_lazy(arr_a, arr_b, ws, m)):
+                   lambda: mul_mod_shoup(arr_a, arr_b, ws, m)):
             ref, got = _under_both(fn)
             _assert_identical(ref, got)
 
@@ -199,6 +188,31 @@ class TestInheritedLayersBitIdentity:
             return out.b.residues, out.a.residues
 
         _assert_identical(*_under_both(run))
+
+    def test_key_switch_accumulate_below_top_level(
+            self, small_evaluator, small_keys, small_encoder, small_params,
+            small_ring, rng):
+        """The in-place evk read where ``B`` is not adjacent to ``C_level``."""
+        from repro.ckks.keyswitch import (
+            key_switch_accumulate,
+            raise_decomposition,
+        )
+
+        level = small_params.l - 2
+        ct = small_evaluator.drop_to_level(
+            self._encrypted(small_keys, small_encoder, small_params, rng),
+            level)
+        evk = small_keys.gen_relinearization_key()
+        raised = raise_decomposition(ct.a, level, small_ring)
+
+        def run():
+            b, a = key_switch_accumulate(raised, evk, level, small_ring)
+            return b.residues, a.residues
+
+        ref, got = _under_both(run)
+        _assert_identical(ref, got)
+        assert ref[0].shape == (level + 1 + len(small_ring.base_p),
+                                small_params.n)
 
     def test_rescale_bit_identical(self, small_evaluator, small_keys,
                                    small_encoder, small_params, rng):

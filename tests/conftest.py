@@ -81,6 +81,35 @@ def encrypt_message(keys: KeyGenerator, encoder: Encoder,
     return keys.encrypt_symmetric(pt.poly, scale, len(message))
 
 
+def evk_resident_bytes(evk) -> int:
+    """Bytes an evaluation key holds, after checking they are its slices.
+
+    Walks every attribute of ``evk`` (containers recursively, and the
+    residue matrix of each :class:`RnsPolynomial`; a polynomial's base
+    is shared ring state, not key memory) and asserts that each array
+    found is one of ``evk.stacked`` or a view of one.  A cache of
+    level-restricted copies or Shoup tables would fail here.
+    """
+    stacked = {id(pair): pair for pair in evk.stacked}
+    assert all(pair.flags.owndata for pair in stacked.values())
+    todo, seen = [vars(evk)], set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            assert id(obj) in stacked or id(obj.base) in stacked, \
+                f"evk holds an array outside its slices: {obj.shape}"
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            todo.extend(obj)
+        elif isinstance(obj, RnsPolynomial):
+            todo.append(obj.residues)
+    return sum(pair.nbytes for pair in stacked.values())
+
+
 @pytest.fixture(scope="session")
 def paper_instances() -> tuple[CkksParams, ...]:
     return CkksParams.paper_instances()

@@ -233,6 +233,35 @@ class TestTracedServing:
         assert health["calibration"]["records"] == 4
 
 
+class TestCalibrationBound:
+    def test_calibration_is_evicted_with_its_plan(self, make_server,
+                                                 make_client):
+        """Six programs through a 2-plan cache leave <= 2 entries."""
+        server = make_server(ServiceConfig(max_job_seconds=5.0))
+        server.scheduler.plan_cache.capacity = 2
+        client = make_client("alice", 7)
+        onboard(server, client)
+        blob = client.encrypt_blob(np.linspace(-0.3, 0.3, 8))
+        for index in range(6):
+            prog = stencil_program(AMOUNTS, f"p{index}",
+                                   own_tap=0.0625 * (index + 1))
+            [result] = serve(server, [JobRequest("alice", prog,
+                                                 {"x": blob})])
+            assert isinstance(result, JobResult)
+        calibration = server.scheduler.calibration
+        assert server.scheduler.plan_cache.stats()["entries"] == 2
+        assert calibration.stats()["records"] == 6
+        assert 1 <= calibration.stats()["plans"] <= 2
+        summary = calibration.summary()
+        assert len(summary) <= 2
+        assert "p5" in {name for stats in summary.values()
+                        for name in stats["programs"]}
+        series = [line for line in server.metrics_text().splitlines()
+                  if line.startswith("fhe_calibration_ratio_count{")]
+        assert 1 <= len(series) <= 2
+        server.shutdown()
+
+
 class TestRetrySpans:
     def test_backoff_is_recorded_with_attempt_and_delay(
             self, make_server, make_client):

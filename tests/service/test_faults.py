@@ -484,6 +484,22 @@ class TestFaultIsolation:
         self._assert_survivors_identical(results, clean, dead=0)
         assert server.scheduler.supervisor.stats()["timeouts"] == 2
 
+    def test_stall_never_times_out_its_batch_mate(self, faulted_setup):
+        """One worker: the fault-free job queued behind a stalled one
+        gets its own full deadline, counted from its pick-up."""
+        client, blob, clean = self._clean_run(faulted_setup)
+        plan = FaultPlan([FaultSpec(FaultKind.STALL, program="j0",
+                                    stall_s=0.5)], seed=5)
+        server, _ = faulted_setup(ServiceConfig(
+            workers=1, fault_plan=plan,
+            supervision=quick_supervision(deadline_floor_s=0.3,
+                                          max_retries=0)))
+        results = serve(server, self._requests(client, blob)[:2],
+                        drain_s=0.3)
+        assert isinstance(results[0], DeadlineExceeded)
+        assert results[1].outputs["out"] == clean[1]
+        assert server.scheduler.supervisor.stats()["timeouts"] == 1
+
     def test_stall_once_recovers_by_retry(self, faulted_setup):
         client, blob, clean = self._clean_run(faulted_setup)
         plan = FaultPlan([FaultSpec(FaultKind.STALL, program="j2",

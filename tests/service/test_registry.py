@@ -11,6 +11,7 @@ from repro.service.registry import (
     RegistryError,
     evk_stored_bytes,
 )
+from tests.conftest import evk_resident_bytes
 
 
 def _galois_blob(client, amounts, conjugation=False):
@@ -180,3 +181,36 @@ class TestRegistryValidation:
         client = make_client("a", 1)
         with pytest.raises(RegistryError):
             server.register_keys("a", relin=client.relin_blob())
+
+
+class TestResidentBytes:
+    def test_served_keys_hold_only_accounted_bytes(self, make_server,
+                                                   make_client):
+        """Resident key memory equals the registry's accounted bytes."""
+        from repro.runtime import Program
+        from repro.service import JobRequest
+
+        client = make_client("a", 1)
+        server = make_server()
+        server.open_session("a")
+        server.register_keys("a", relin=client.relin_blob(),
+                             galois=_galois_blob(client, {1, 2},
+                                                 conjugation=True))
+        prog = Program(n_slots=8, name="mixed")
+        x = prog.input("x")
+        prog.output("y", (x * x).rotate(1) + x.rotate(2))
+        vec = np.linspace(-0.4, 0.4, 8)
+        [result] = server.serve(
+            [JobRequest("a", prog, {"x": client.encrypt_blob(vec)})])
+        want = np.roll(vec * vec, -1) + np.roll(vec, -2)
+        assert np.max(np.abs(client.decrypt_blob(result.outputs["y"])
+                             - want)) < 1e-4
+        session = server.registry.session("a")
+        ev = session.evaluator
+        keys = {id(k): k for k in (ev.relin_key, ev.conjugation_key,
+                                   *session.by_element.values())}
+        resident = sum(evk_resident_bytes(k) for k in keys.values())
+        assert resident == sum(evk_stored_bytes(k) for k in keys.values())
+        assert resident == (server.registry.galois_bytes
+                            + server.registry.pinned_bytes)
+        server.shutdown()
