@@ -162,13 +162,17 @@ class Counter(_Instrument):
 
 
 class Gauge(_Instrument):
-    """Last-write-wins scalar that can also be adjusted incrementally."""
+    """Last-write-wins scalar that can also be adjusted incrementally,
+    or, given ``read``, a live ``{label values: value}`` read at collect
+    time (outside the registry lock) instead of stored samples."""
 
     kind = "gauge"
 
-    def __init__(self, registry, name, help, labelnames) -> None:
+    def __init__(self, registry, name, help, labelnames,
+                 read=None) -> None:
         super().__init__(registry, name, help, labelnames)
         self._values: dict[tuple[str, ...], float] = {}
+        self._read = read
 
     def set(self, value: float, **labels) -> None:
         if self._gated and not _ENABLED:
@@ -185,16 +189,18 @@ class Gauge(_Instrument):
             self._values[key] = self._values.get(key, 0.0) + delta
 
     def value(self, **labels) -> float:
-        key = self._key(labels)
+        return self._samples().get(self._key(labels), 0.0)
+
+    def _samples(self) -> dict[tuple[str, ...], float]:
+        if self._read is not None:
+            return self._read()
         with self._lock:
-            return self._values.get(key, 0.0)
+            return dict(self._values)
 
     def collect(self) -> list[str]:
-        with self._lock:
-            items = sorted(self._values.items())
         return self._header() + [
             f"{self.name}{self._suffix(key)} {_format_number(v)}"
-            for key, v in items]
+            for key, v in sorted(self._samples().items())]
 
     def _reset(self) -> None:
         with self._lock:
@@ -355,8 +361,8 @@ class MetricsRegistry:
         return self._get(Counter, name, help, labelnames)
 
     def gauge(self, name: str, help: str = "",
-              labelnames: tuple[str, ...] = ()) -> Gauge:
-        return self._get(Gauge, name, help, labelnames)
+              labelnames: tuple[str, ...] = (), read=None) -> Gauge:
+        return self._get(Gauge, name, help, labelnames, read=read)
 
     def histogram(self, name: str, help: str = "",
                   labelnames: tuple[str, ...] = (),

@@ -93,6 +93,11 @@ class PlanNoiseProfile:
     #: worst headroom over the *output* nodes (what the tenant receives)
     terminal_headroom_bits: float
 
+    def worst_output(self) -> NodeNoise | None:
+        """The output with the least headroom (None: no outputs)."""
+        return min(self.outputs.values(), key=lambda rec: rec.headroom_bits,
+                   default=None)
+
     def pressure_points(self) -> list[dict]:
         """Planner-inserted relief valves, scored by the headroom of the
         state they relieved: how close the planner let noise get to the

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -482,6 +483,7 @@ class PlanCache:
     requests; the serving scheduler compiles each distinct program once
     and replays the plan for every subsequent job.  Each key holds one
     :class:`PlanEntry`: the plan and the values derived from it.
+    Lookups hold a lock: the scheduler plans on several workers at once.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -489,6 +491,7 @@ class PlanCache:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
         self._entries: OrderedDict[str, PlanEntry] = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -504,16 +507,17 @@ class PlanCache:
         program for a second structural hash.
         """
         key = plan_cache_key(program, config, params_digest)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry.plan, True, key
-        plan = plan_program(program, config)
-        self._entries[key] = PlanEntry(plan)
-        self.misses += 1
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry.plan, True, key
+            plan = plan_program(program, config)
+            self._entries[key] = PlanEntry(plan)
+            self.misses += 1
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
         return plan, False, key
 
     def entry(self, key: str) -> PlanEntry | None:

@@ -17,6 +17,9 @@ The serving pipeline for one job is
   by its next submit, until it is admitted again.
 * **Cost admission** — jobs whose estimate exceeds ``max_job_seconds``
   are rejected before consuming worker time.
+* **Dispatch pipeline** — up to ``workers`` batch windows run at once;
+  the next window starts as soon as one settles, so a slow job holds
+  its own worker, not every job queued behind it.
 * **Cross-job sharing** — per tenant, the jobs of one batch window that
   bind a common input blob are merged into one hash-consed window plan
   (:mod:`repro.runtime.window`): every value two jobs compute, and
@@ -30,6 +33,9 @@ The serving pipeline for one job is
   queue is bounded in jobs and priced seconds
   (:class:`~repro.service.errors.Overloaded`), a per-tenant breaker
   sheds failing tenants, and :meth:`RequestScheduler.health` shows it.
+* **One ledger** — every event is counted once, in the scheduler's
+  metrics registry; ``stats()``, ``health()`` and the metrics gauges
+  read it, and the live queue/breaker/memory state, back when asked.
 * **One code path** for plain, faulted and traced runs — fault hooks
   are :class:`~repro.service.faults.FaultPlan` methods (an empty plan
   by default) and untraced jobs carry
@@ -55,7 +61,7 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs.calibration import CalibrationRecorder
 from repro.obs.events import JobJournal
 from repro.obs.metrics import BIT_BUCKETS, MetricsRegistry
-from repro.obs.noise import NoiseTracker, PlanNoiseProfile
+from repro.obs.noise import NoiseTracker
 from repro.obs.trace import NULL_SPAN, Span, Tracer
 from repro.runtime.executor import execute, execute_subgraph
 from repro.runtime.ir import OpCode, Program
@@ -236,7 +242,6 @@ class RequestScheduler:
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, self.config.workers),
             thread_name_prefix="fhe-worker")
-        self.supervisor = Supervisor(self._pool, self.config.supervision)
         self.fault_plan = self.config.fault_plan or FaultPlan()
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
@@ -253,6 +258,8 @@ class RequestScheduler:
         # health() read job outcomes back from it (a shared registry
         # would count other schedulers' jobs).
         self.metrics = MetricsRegistry()
+        self.supervisor = Supervisor(self._pool, self.config.supervision,
+                                     self.metrics)
         self.events = self.config.events
         # Noise profiles are pure functions of the plan (input level and
         # scale are fixed by the planner's meta), so one tracker serves
@@ -287,31 +294,36 @@ class RequestScheduler:
         self._m_wall = metrics.histogram(
             "fhe_job_wall_seconds", "worker attempt wall time",
             ("tenant",))
-        self._g_queue_depth = metrics.gauge(
-            "fhe_queue_depth", "jobs sitting in the submit queue")
-        self._g_backlog_jobs = metrics.gauge(
-            "fhe_backlog_jobs", "queued + in-flight jobs")
-        self._g_backlog_seconds = metrics.gauge(
-            "fhe_backlog_seconds", "priced seconds held by the backlog")
-        self._g_breaker = metrics.gauge(
-            "fhe_breaker_state",
-            "per-tenant breaker (0 closed, 1 half-open, 2 open)",
-            ("tenant",))
-        self._g_supervisor = metrics.gauge(
-            "fhe_supervisor_events", "supervisor lifecycle counters",
-            ("kind",))
         self._m_headroom = metrics.histogram(
             "fhe_noise_headroom_bits",
             "terminal analytic noise headroom per completed job",
             ("tenant",), buckets=BIT_BUCKETS)
-        self._g_min_headroom = metrics.gauge(
+        metrics.gauge("fhe_queue_depth", "jobs sitting in the submit queue",
+                      read=lambda: {(): self._backlog()[0]})
+        metrics.gauge("fhe_backlog_jobs", "queued + in-flight jobs",
+                      read=lambda: {(): self._backlog()[1]})
+        metrics.gauge("fhe_backlog_seconds",
+                      "priced seconds held by the backlog",
+                      read=lambda: {(): self._backlog()[2]})
+        metrics.gauge(
+            "fhe_breaker_state",
+            "per-tenant breaker (0 closed, 1 half-open, 2 open)",
+            ("tenant",), read=lambda: {
+                (tenant,): ("closed", "half_open", "open").index(b.state)
+                for tenant, b in list(self._breakers.items())})
+        metrics.gauge(
             "fhe_noise_min_headroom_bits",
-            "worst terminal headroom seen per tenant", ("tenant",))
-        self._g_registry_bytes = metrics.gauge(
+            "worst terminal headroom seen per tenant", ("tenant",),
+            read=lambda: {key: round(series["min"], 3) for key, series
+                          in self._m_headroom.series().items()})
+        metrics.gauge(
             "fhe_registry_bytes",
-            "resident evaluation-key bytes per tenant", ("tenant",))
-        self._g_plan_cache_entries = metrics.gauge(
-            "fhe_plan_cache_entries", "plans resident in the cache")
+            "resident evaluation-key bytes per tenant", ("tenant",),
+            read=lambda: {(tenant,): nbytes for tenant, nbytes
+                          in registry.bytes_by_tenant().items()})
+        metrics.gauge(
+            "fhe_plan_cache_entries", "plans resident in the cache",
+            read=lambda: {(): len(self.plan_cache)})
 
     # ----- lifecycle ---------------------------------------------------------
 
@@ -332,7 +344,8 @@ class RequestScheduler:
         await between check and put on an unbounded queue), so every
         job admitted before ``stop()`` sits ahead of the sentinel and
         is dispatched normally; every submit after it is rejected with
-        :class:`SchedulerStopped`.  Nothing is silently dropped.
+        :class:`SchedulerStopped`.  Nothing is silently dropped, and
+        the windows in flight settle before the dispatcher returns.
         """
         if self._dispatcher is None:
             return
@@ -508,10 +521,15 @@ class RequestScheduler:
     # ----- dispatch ----------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
+        """Start a window per free slot; drain them all at the sentinel."""
         loop = asyncio.get_running_loop()
+        slots = asyncio.Semaphore(max(1, self.config.workers))
+        windows: set[asyncio.Task] = set()
         while True:
+            await slots.acquire()
             head = await self._queue.get()
             if head is None:
+                await asyncio.gather(*windows)
                 return
             batch = [head]
             deadline = loop.time() + self.config.batch_window_s
@@ -529,7 +547,10 @@ class RequestScheduler:
                     await self._queue.put(None)  # re-arm shutdown
                     break
                 batch.append(nxt)
-            await self._run_batch(batch)
+            window = loop.create_task(self._run_batch(batch))
+            windows.add(window)
+            window.add_done_callback(windows.discard)
+            window.add_done_callback(lambda _: slots.release())
 
     async def _run_batch(self, batch: list[_Job]) -> None:
         loop = asyncio.get_running_loop()
@@ -751,7 +772,13 @@ class RequestScheduler:
             raise
         wall = time.perf_counter() - t0
         self._m_wall.observe(wall, tenant=tenant)
-        headroom, risk = self._score_numeric_health(job, profile)
+        worst = profile.worst_output()
+        headroom = None if worst is None else worst.headroom_bits
+        floor = self.config.min_headroom_bits
+        risk = None
+        if headroom is not None and floor is not None and headroom < floor:
+            risk = PrecisionAtRisk(tenant, job.request.program.name,
+                                   headroom, floor, worst_node=worst.node)
         if job.estimate is not None and job.estimate > 0:
             ratio = self.calibration.record(
                 job.cache_key, job.estimate, wall, tenant=tenant,
@@ -773,24 +800,6 @@ class RequestScheduler:
             cse_seeded=job.cse_seeded,
             headroom_bits=headroom,
             precision_at_risk=risk)
-
-    def _score_numeric_health(
-            self, job: _Job, profile: PlanNoiseProfile
-            ) -> tuple[float | None, PrecisionAtRisk | None]:
-        """Terminal headroom of a completed attempt, plus the warning
-        when it fell below the configured floor."""
-        headroom = profile.terminal_headroom_bits
-        if headroom == float("inf"):  # plan with no outputs
-            return None, None
-        risk = None
-        floor = self.config.min_headroom_bits
-        if floor is not None and headroom < floor:
-            worst = min(profile.outputs.values(),
-                        key=lambda rec: rec.headroom_bits)
-            risk = PrecisionAtRisk(
-                job.request.tenant, job.request.program.name, headroom,
-                floor, worst_node=worst.node)
-        return headroom, risk
 
     # ----- introspection -----------------------------------------------------
 
@@ -816,11 +825,6 @@ class RequestScheduler:
             return (0 if queue is None else queue.qsize(),
                     self._backlog_jobs, self._backlog_seconds)
 
-    def _min_headroom(self) -> dict[str, float]:
-        """Worst terminal headroom per tenant (the histogram's min)."""
-        return {tenant: series["min"] for (tenant,), series
-                in self._m_headroom.series().items()}
-
     def health(self) -> HealthSnapshot:
         """Degradation snapshot: queue, backlog, breakers, counters.
 
@@ -834,11 +838,13 @@ class RequestScheduler:
                          for kind in ("retries", "timeouts", "attempts")})
         jobs = self._m_jobs.samples()
         at_risk = self._m_at_risk.samples()
-        tenant_min = self._min_headroom()
+        tenant_min = {tenant: series["min"] for (tenant,), series
+                      in self._m_headroom.series().items()}
         tenants = {}
         for tenant, breaker in sorted(list(self._breakers.items())):
             tenants[tenant] = TenantHealth(
                 **breaker.snapshot(),
+                shed=int(jobs.get((tenant, "shed"), 0)),
                 jobs_completed=int(jobs.get((tenant, "completed"), 0)),
                 jobs_failed=int(jobs.get((tenant, "failed"), 0)),
                 jobs_rejected=int(jobs.get((tenant, "rejected"), 0)),
@@ -862,37 +868,13 @@ class RequestScheduler:
         )
 
     def render_metrics(self) -> str:
-        """Prometheus text: registry + live gauges + calibration block.
-
-        Live state (queue depth, backlog, breaker states, supervisor
-        counters) is copied into gauges at render time; then the
-        scheduler's always-on registry, the gated default registry
+        """Prometheus text: the scheduler's always-on registry (its live
+        gauges read at collect time), the gated default registry
         (wire-codec instruments — headers only until
-        :func:`repro.obs.enable`), and the calibration summary render
-        as one exposition.
-        """
-        for gauge, value in zip((self._g_queue_depth, self._g_backlog_jobs,
-                                 self._g_backlog_seconds), self._backlog()):
-            gauge.set(value)
-        for tenant, headroom in self._min_headroom().items():
-            self._g_min_headroom.set(round(headroom, 3), tenant=tenant)
-        for tenant, nbytes in self.registry.bytes_by_tenant().items():
-            self._g_registry_bytes.set(nbytes, tenant=tenant)
-        self._g_plan_cache_entries.set(
-            self.plan_cache.stats().get("entries", 0))
-        state_values = {"closed": 0, "half_open": 1, "open": 2}
-        for tenant, breaker in list(self._breakers.items()):
-            snap = breaker.snapshot()
-            self._g_breaker.set(state_values.get(snap["state"], -1),
-                                tenant=tenant)
-        for kind, value in self.supervisor.stats().items():
-            self._g_supervisor.set(value, kind=kind)
-        parts = [self.metrics.render_text()]
-        gated = _obs_metrics.default_registry().render_text()
-        if gated:
-            parts.append(gated)
-        parts.append(self.calibration.render_prometheus())
-        return "".join(parts)
+        :func:`repro.obs.enable`) and the calibration summary."""
+        return "".join((self.metrics.render_text(),
+                        _obs_metrics.default_registry().render_text(),
+                        self.calibration.render_prometheus()))
 
 
 def _ins2_seconds(plan: Plan) -> float:

@@ -1,8 +1,9 @@
 """Supervised execution: deadlines, cancellation, retry, breakers.
 
 Every worker attempt runs under a supervision contract, so a stalled
-worker cannot freeze its batch and a flaky failure is told apart from
-a poisoned job:
+attempt holds only its own worker (the scheduler keeps starting
+windows on the free ones, and the stall's batch-mates keep their full
+deadlines) and a flaky failure is told apart from a poisoned job:
 
 * **Deadlines priced from the cost model** — each attempt gets
   ``deadline = estimate x deadline_multiplier + deadline_floor_s``,
@@ -29,7 +30,9 @@ a poisoned job:
 
 The supervisor is deliberately scheduler-agnostic: it runs any
 ``fn(cancel_event)`` on any pool, which is what makes it unit-testable
-without spinning up the whole serving stack.
+without spinning up the whole serving stack.  It counts its lifecycle
+events in ``fhe_supervisor_events_total{kind}`` of the registry it is
+given (the scheduler's ledger; a private one by default).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN
 from repro.service.errors import DeadlineExceeded, is_transient
 
@@ -84,7 +88,6 @@ class CircuitBreaker:
         self._lock = threading.Lock()
         self.state = "closed"
         self.consecutive_failures = 0
-        self.shed = 0                  #: rejections while open
         self._opened_at = 0.0
         self._probing = False
 
@@ -95,13 +98,11 @@ class CircuitBreaker:
                 remaining = self._opened_at + self.config.cooldown_s \
                     - self._clock()
                 if remaining > 0:
-                    self.shed += 1
                     return False, remaining
                 self.state = "half_open"
                 self._probing = False
             if self.state == "half_open":
                 if self._probing:  # one probe at a time
-                    self.shed += 1
                     return False, self.config.cooldown_s
                 self._probing = True
             return True, 0.0
@@ -124,8 +125,7 @@ class CircuitBreaker:
     def snapshot(self) -> dict:
         with self._lock:
             return {"state": self.state,
-                    "consecutive_failures": self.consecutive_failures,
-                    "shed": self.shed}
+                    "consecutive_failures": self.consecutive_failures}
 
 
 def _run_started(loop, started, attempt_fn, cancel: threading.Event):
@@ -143,17 +143,19 @@ def _swallow(future) -> None:
 class Supervisor:
     """Runs worker attempts under deadlines with classified retries."""
 
-    def __init__(self, pool, config: SupervisionConfig | None = None
-                 ) -> None:
+    #: attempts started, jobs returning a result or a terminal error,
+    #: backoff retries taken, attempts cancelled at their deadline
+    KINDS = ("attempts", "successes", "failures", "retries", "timeouts")
+
+    def __init__(self, pool, config: SupervisionConfig | None = None,
+                 metrics: MetricsRegistry | None = None) -> None:
         self.pool = pool
         self.config = config or SupervisionConfig()
         self._rng = random.Random(self.config.seed)
         self._lock = threading.Lock()
-        self.attempts = 0   #: attempts started
-        self.successes = 0  #: jobs that returned a result
-        self.failures = 0   #: jobs that surfaced a terminal error
-        self.retries = 0    #: backoff retries taken
-        self.timeouts = 0   #: attempts cancelled at their deadline
+        self._events = (metrics or MetricsRegistry()).counter(
+            "fhe_supervisor_events_total", "supervisor lifecycle events",
+            ("kind",))
 
     def deadline_for(self, estimate_s: float | None) -> float:
         """Price an attempt deadline from the admission estimate."""
@@ -168,10 +170,6 @@ class Supervisor:
                       config.backoff_base_s * (2.0 ** attempt))
         with self._lock:
             return self._rng.uniform(0.0, ceiling)
-
-    def _bump(self, counter: str) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + 1)
 
     async def supervise(self, attempt_fn, estimate_s: float | None = None,
                         label: str = "job", span=NULL_SPAN):
@@ -196,7 +194,7 @@ class Supervisor:
         deadline = self.deadline_for(estimate_s)
         attempt = 0
         while True:
-            self._bump("attempts")
+            self._events.inc(kind="attempts")
             cancel = threading.Event()
             started = loop.create_future()
             future = loop.run_in_executor(self.pool, _run_started, loop,
@@ -206,12 +204,12 @@ class Supervisor:
             try:
                 result = await asyncio.wait_for(asyncio.shield(future),
                                                 deadline)
-                self._bump("successes")
+                self._events.inc(kind="successes")
                 return result, attempt + 1
             except asyncio.TimeoutError:
                 cancel.set()
                 future.add_done_callback(_swallow)
-                self._bump("timeouts")
+                self._events.inc(kind="timeouts")
                 exc = DeadlineExceeded(
                     f"{label}: attempt {attempt + 1} exceeded its "
                     f"{deadline:.3f}s deadline",
@@ -219,7 +217,7 @@ class Supervisor:
             except Exception as caught:
                 exc = caught
             if is_transient(exc) and attempt < self.config.max_retries:
-                self._bump("retries")
+                self._events.inc(kind="retries")
                 delay = self.backoff_delay(attempt)
                 with span.child("retry_backoff", cat="sched",
                                 retry=attempt + 1, delay_s=delay,
@@ -227,13 +225,10 @@ class Supervisor:
                     await asyncio.sleep(delay)
                 attempt += 1
                 continue
-            self._bump("failures")
+            self._events.inc(kind="failures")
             raise exc
 
     def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {"attempts": self.attempts,
-                    "successes": self.successes,
-                    "failures": self.failures,
-                    "retries": self.retries,
-                    "timeouts": self.timeouts}
+        """Every event kind's count, read back from the registry."""
+        samples = self._events.samples()
+        return {kind: int(samples.get((kind,), 0)) for kind in self.KINDS}

@@ -105,6 +105,22 @@ class TestGauge:
         assert gauge.value() == 5.5
         assert 'depth 5.5' in gauge.collect()[-1]
 
+    def test_read_gauge_reports_live_state(self):
+        """A ``read`` gauge copies nothing: every collect reads the
+        source, which may read other instruments of the same registry
+        (it runs outside the registry lock)."""
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat", "", ("tenant",))
+        depth = [1]
+        gauge = registry.gauge("depth", read=lambda: {(): depth[0]})
+        registry.gauge("worst", "", ("tenant",), read=lambda: {
+            key: series["max"] for key, series in hist.series().items()})
+        depth[0] = 4
+        hist.observe(0.5, tenant="a")
+        assert gauge.value() == 4
+        text = registry.render_text()
+        assert "depth 4\n" in text and 'worst{tenant="a"} 0.5\n' in text
+
 
 class TestHistogram:
     def test_bucket_placement_and_cumulative_export(self):

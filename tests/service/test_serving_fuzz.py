@@ -1,4 +1,4 @@
-"""Randomized serving tier: knobs x faults, four invariants per example.
+"""Randomized serving tier: knobs x faults, five invariants per example.
 
 Hypothesis draws the scheduler knobs (``coalesce``, ``optimize``,
 ``workers`` in {1, 2, 3}, ``max_batch``, admission on/off), a batch of
@@ -16,7 +16,10 @@ Every example then checks:
    completed job is byte-identical to a direct ``execute()`` of the
    same plan under the same planner config;
 3. ``stats()`` outcome counts equal the settled futures;
-4. no ``fhe-worker`` thread outlives ``shutdown()``.
+4. no ``fhe-worker`` thread outlives ``shutdown()``;
+5. the ledgers agree: the job journal has exactly one terminal line
+   per job, whose outcome matches its future, and its ``started`` +
+   ``retried`` lines equal the supervisor's ``attempts`` count.
 
 A STALL past the floor times its own attempts out, and nothing else:
 an attempt's deadline starts when a worker picks it up, and a
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import io
 import threading
 
 import numpy as np
@@ -41,6 +45,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.events import JobJournal, read_journal
 from repro.runtime import PlannerConfig, Program, execute, plan_program
 from repro.service import (
     AdmissionError,
@@ -156,8 +161,9 @@ def check_serving_invariants(case, env, small_params, small_ring) -> None:
     config, shapes, plan = case
     keys, blobs, _ = env
     before = fhe_workers()
+    sink = io.StringIO()
     server = FheServer(small_params, config=dataclasses.replace(
-        config, fault_plan=plan), ring=small_ring)
+        config, fault_plan=plan, events=JobJournal(sink)), ring=small_ring)
     server.open_session("alice")
     server.register_keys("alice", **keys)
     references = [reference_blob(server, env, i, shape, config.optimize)
@@ -180,6 +186,7 @@ def check_serving_invariants(case, env, small_params, small_ring) -> None:
         stats = server.scheduler.stats()
     finally:
         server.shutdown()
+    attempts = server.scheduler.supervisor.stats()["attempts"]
 
     faulted = {program for _, _, program in plan.injected}
     for i, outcome in enumerate(settled):                      # (1), (2)
@@ -194,6 +201,17 @@ def check_serving_invariants(case, env, small_params, small_ring) -> None:
         == len(settled) - completed
     assert stats["jobs_overloaded"] == stats["jobs_shed"] == 0
     assert not fhe_workers() - before                           # (4)
+    records = read_journal(io.StringIO(sink.getvalue()))        # (5)
+    terminal = {}
+    for record in records:
+        if record["event"] in ("completed", "failed"):
+            assert record["program"] not in terminal, record
+            terminal[record["program"]] = record["event"]
+    assert terminal == {
+        f"j{i}": "completed" if isinstance(o, JobResult) else "failed"
+        for i, o in enumerate(settled)}
+    assert sum(r["event"] in ("started", "retried") for r in records) \
+        == attempts
 
 
 @settings(max_examples=8, deadline=None)
