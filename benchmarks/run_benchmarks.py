@@ -166,7 +166,7 @@ def bench_rotation_batch(ev, ct, reps: int) -> dict[str, tuple[float, int]]:
     ``rotation_batch_ntt_domain`` keeps one NTT-domain raised
     decomposition of ``ct.a`` alive for the whole batch — every
     rotation is an evaluation-point gather + evk product + ModDown
-    (``Evaluator.rotate_hoisted``, the production path).
+    (``Evaluator.galois_hoisted``, the production path).
     ``rotation_batch_sequential`` pays a full raise per rotation (each
     one NTT-domain internally).  Both produce bit-identical
     ciphertexts, so the ratios are pure scheduling wins — the kernels
@@ -188,7 +188,7 @@ def bench_rotation_batch(ev, ct, reps: int) -> dict[str, tuple[float, int]]:
 
     return {
         "rotation_batch_ntt_domain":
-            (_median_seconds(lambda: ev.rotate_hoisted(ct, amounts), reps),
+            (_median_seconds(lambda: ev.galois_hoisted(ct, amounts), reps),
              reps),
         "rotation_batch_sequential":
             (_median_seconds(sequential, reps), reps),
@@ -216,7 +216,7 @@ def rotation_fusion_tallies(ev, ct) -> dict:
     obs.enable()
     try:
         K.reset()
-        rotations = ev.rotate_hoisted(ct, amounts)
+        rotations = ev.galois_hoisted(ct, amounts)
         acc = None
         for amount in amounts:
             acc = rotations[amount] if acc is None \

@@ -65,7 +65,7 @@ def main() -> None:
           f"{len(offsets)} rotation keys")
 
     # One hoisted ModUp shared by all eight nonzero kernel offsets.
-    rotated = evaluator.rotate_hoisted(ct, offsets + [0])
+    rotated = evaluator.galois_hoisted(ct, offsets + [0])
     acc = None
     for dy in (-1, 0, 1):
         for dx in (-1, 0, 1):

@@ -15,10 +15,18 @@ path.  HRescale runs one stacked inverse transform over both halves'
 dropped limbs and one stacked forward transform over both exact
 transfers, then subtracts and scales by ``q_level^-1``.
 
+Galois ops name their automorphism by one amount convention: a slot
+rotation (``0`` the identity) or ``None`` for conjugation.
+:meth:`Evaluator.galois_hoisted` maps a list of such amounts to
+``{amount: ct}`` over one shared raise of ``ct.a``;
+:meth:`Evaluator.rotate` and :meth:`Evaluator.conjugate` are the
+single-op forms it is bit-identical to.
+
 The lazy key-switch accumulator (:meth:`Evaluator.lazy_galois`,
-:meth:`Evaluator.lazy_sums`) keeps galois images P-scaled over
-``C_level + B`` and ModDowns each weighted sum once; its two callers are
-:meth:`Evaluator.rotate_reduce` (one sum) and the double-hoisted BSGS of
+:meth:`Evaluator.lazy_sums`) takes the same amounts, keeps galois
+images P-scaled over ``C_level + B`` and ModDowns each weighted sum
+once; its two callers are :meth:`Evaluator.rotate_reduce` (one sum) and
+the double-hoisted BSGS of
 :class:`~repro.ckks.linear_transform.LinearTransform` (one sum per giant
 step).
 """
@@ -308,10 +316,8 @@ class Evaluator:
             return ct.clone()
         return self._apply_galois(ct, *self._galois_key(amount))
 
-    def galois_hoisted(self, ct: Ciphertext, amounts: list[int],
-                       conjugate: bool = False
-                       ) -> tuple[dict[int, Ciphertext],
-                                  Ciphertext | None]:
+    def galois_hoisted(self, ct: Ciphertext, amounts
+                       ) -> dict[int | None, Ciphertext]:
         """Many galois ops on one ciphertext, sharing one decomposition.
 
         The hoisting optimization of [12] (also used by Lattigo),
@@ -319,44 +325,28 @@ class Evaluator:
         iNTT, every ModUp BConv, and the stacked forward transform —
         runs once, and each galois element only gathers the raised
         NTT-domain slices, multiplies with its own evk and mods down.
-        Bit-identical to sequential :meth:`rotate` / :meth:`conjugate`
-        calls.
 
-        Returns ``(rotations, conjugated)`` where ``rotations`` maps
-        each requested amount to its rotated ciphertext and
-        ``conjugated`` is the HConj result (``None`` unless
-        ``conjugate=True``).
+        Amounts follow :meth:`lazy_galois`'s convention: a slot
+        rotation (reduced mod ``n_slots``; ``0`` is the identity) or
+        ``None`` for conjugation.  Returns ``{amount: ct}``,
+        bit-identical to :meth:`rotate` / :meth:`conjugate` /
+        :meth:`~repro.ckks.cipher.Ciphertext.clone` per amount; no raise
+        runs when every amount is ``0``.
         """
-        out: dict[int, Ciphertext] = {}
+        out: dict[int | None, Ciphertext] = {}
         jobs = []
-        for amount in sorted({a % ct.n_slots for a in amounts}):
+        for amount in dict.fromkeys(
+                None if a is None else a % ct.n_slots for a in amounts):
             if amount == 0:
                 out[0] = ct.clone()
             else:
-                jobs.append((*self._galois_key(amount), amount))
-        if conjugate:
-            jobs.append((*self._galois_key(None), None))
-        if not jobs:
-            return out, None
-        raised = raise_decomposition(ct.a, ct.level, self.ring)
-        conjugated: Ciphertext | None = None
-        for galois_elt, evk, amount in jobs:
-            result = self._galois_from_raised(ct, raised, galois_elt, evk)
-            if amount is None:
-                conjugated = result
-            else:
-                out[amount] = result
-        return out, conjugated
-
-    def rotate_hoisted(self, ct: Ciphertext, amounts: list[int]
-                       ) -> dict[int, Ciphertext]:
-        """Many rotations of one ciphertext, sharing a single raise.
-
-        Thin wrapper over :meth:`galois_hoisted` (rotations only).
-        Bit-identical to calling :meth:`rotate` per amount.
-        """
-        rotations, _ = self.galois_hoisted(ct, amounts)
-        return rotations
+                jobs.append((amount, *self._galois_key(amount)))
+        if jobs:
+            raised = raise_decomposition(ct.a, ct.level, self.ring)
+            for amount, galois_elt, evk in jobs:
+                out[amount] = self._galois_from_raised(ct, raised,
+                                                       galois_elt, evk)
+        return out
 
     def conjugate(self, ct: Ciphertext) -> Ciphertext:
         """HConj: complex-conjugate every slot (galois element 2N-1)."""

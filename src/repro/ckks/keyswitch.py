@@ -8,12 +8,17 @@ matching evk slice and accumulated; the accumulator is finally divided by
 P (ModDown), which performs the mirrored iNTT -> BConv -> NTT on the
 special-prime part followed by the fused subtract-scale-add (SSA).
 
-Transform reuse: every slice's converted limbs need the same forward
-transform, so :func:`raise_decomposition` concatenates them along the
-limb axis and runs one :class:`~repro.ckks.rns.StackedTransform` pass;
-:func:`mod_down_pair` does the same for the two halves of a key-switch
-accumulator (one stacked iNTT, one coefficient-stacked BConv, one
-stacked NTT).  Both are bit-identical to the per-polynomial path.
+One body per stage: :func:`raise_decomposition` is the ModUp (every
+slice's converted limbs share one
+:class:`~repro.ckks.rns.StackedTransform` forward pass),
+:func:`key_switch_accumulate` the evk inner product, and
+``_mod_down_stacked`` the ModDown tail (one stacked iNTT, one
+coefficient-stacked BConv, one stacked NTT over any number of
+polynomials).  :func:`mod_down_pair` (a key-switch accumulator's two
+halves) and :func:`mod_down_many` (the lazy accumulator's sums) are
+one-line entries to that tail.  :func:`mod_up` (per slice) and
+:func:`mod_down` (per polynomial) are the unstacked oracles the
+stacked stages are bit-identical to.
 
 Hoisting (BTS Section 4.1): for galois ops (HRot/HConj) the full
 :func:`raise_decomposition` — iNTT, every BConv, *and* the one stacked
@@ -129,49 +134,32 @@ def mod_down_pair(poly_b: RnsPolynomial, poly_a: RnsPolynomial, level: int,
                   ) -> tuple[RnsPolynomial, RnsPolynomial]:
     """ModDown both halves of a key-switch accumulator together.
 
-    Bit-identical to ``(mod_down(b), mod_down(a))`` but runs one stacked
-    iNTT over both special-prime parts, one BConv whose coefficient axis
-    holds both polynomials side by side, and one stacked NTT over both
-    corrections — halving the Python-level stage dispatches of the
-    ModDown tail.
+    Bit-identical to ``(mod_down(b), mod_down(a))``; runs the one
+    stacked ModDown tail (:func:`_mod_down_stacked`) over the pair.
     """
-    base_q = ring.base_q(level)
-    base_p = ring.base_p
-    if _obs_kernel._ENABLED:
-        _obs_kernel.TALLY.moddown += 2  # two logical ModDowns, fused
-    n = poly_b.n
-    coeff_b, coeff_a = StackedTransform.inverse(
-        [RnsPolynomial(base_p, poly.residues[level + 1:], True)
-         for poly in (poly_b, poly_a)])
-    # BConv is coefficient-wise: feed both polynomials as one matrix of
-    # 2N columns, then split the converted halves back apart.
-    paired = RnsPolynomial(
-        base_p, np.concatenate([coeff_b.residues, coeff_a.residues],
-                               axis=1), False)
-    converted = base_convert(paired, base_q)
-    corr_b, corr_a = StackedTransform.forward(
-        [RnsPolynomial(base_q, converted.residues[:, :n], False),
-         RnsPolynomial(base_q, converted.residues[:, n:], False)])
-    cols, cols_shoup = ring.p_inv_scalar_columns(level)
-    outs = []
-    for poly, corr in ((poly_b, corr_b), (poly_a, corr_a)):
-        q_part = RnsPolynomial(base_q, poly.residues[:level + 1], True)
-        outs.append(q_part.sub(corr).mul_scalar_columns(cols, cols_shoup))
-    return outs[0], outs[1]
+    return tuple(_mod_down_stacked([poly_b, poly_a], level, ring))
 
 
 def mod_down_many(polys: list[RnsPolynomial], level: int,
                   ring: RingContext) -> list[RnsPolynomial]:
     """ModDown every polynomial of ``polys`` through one stacked tail.
 
-    Generalizes :func:`mod_down_pair` from two polynomials to any
-    count: one stacked iNTT over all special-prime parts, one BConv
-    whose coefficient axis holds every polynomial side by side, one
-    stacked NTT over all corrections.  Bit-identical to calling
-    :func:`mod_down` per polynomial (the pair variant's invariant,
-    unchanged by width) — this is what lets the lazy accumulator lower
-    every giant-step sum of a BSGS transform in one dispatch without
-    perturbing a single output bit.
+    Bit-identical to calling :func:`mod_down` per polynomial — this is
+    what lets the lazy accumulator lower every giant-step sum of a BSGS
+    transform in one dispatch without perturbing a single output bit.
+    """
+    return _mod_down_stacked(polys, level, ring)
+
+
+def _mod_down_stacked(polys: list[RnsPolynomial], level: int,
+                      ring: RingContext) -> list[RnsPolynomial]:
+    """The ModDown tail shared by :func:`mod_down_pair`/:func:`mod_down_many`.
+
+    One stacked iNTT over every special-prime part, one BConv whose
+    coefficient axis holds every polynomial side by side, one stacked
+    NTT over all corrections, then the per-polynomial SSA.  The public
+    names stay separate functions that never call each other, so a
+    traced run counts one ModDown span per call.
     """
     if not polys:
         return []
@@ -183,20 +171,20 @@ def mod_down_many(polys: list[RnsPolynomial], level: int,
     coeffs = StackedTransform.inverse(
         [RnsPolynomial(base_p, poly.residues[level + 1:], True)
          for poly in polys])
-    paired = RnsPolynomial(
+    # BConv is coefficient-wise: feed every polynomial as one matrix of
+    # len(polys)*N columns, then split the converted parts back apart.
+    stacked = RnsPolynomial(
         base_p, np.concatenate([c.residues for c in coeffs], axis=1),
         False)
-    converted = base_convert(paired, base_q)
+    converted = base_convert(stacked, base_q)
     corrections = StackedTransform.forward(
         [RnsPolynomial(base_q, converted.residues[:, i * n:(i + 1) * n],
                        False)
          for i in range(len(polys))])
     cols, cols_shoup = ring.p_inv_scalar_columns(level)
-    outs = []
-    for poly, corr in zip(polys, corrections):
-        q_part = RnsPolynomial(base_q, poly.residues[:level + 1], True)
-        outs.append(q_part.sub(corr).mul_scalar_columns(cols, cols_shoup))
-    return outs
+    return [RnsPolynomial(base_q, poly.residues[:level + 1], True)
+            .sub(corr).mul_scalar_columns(cols, cols_shoup)
+            for poly, corr in zip(polys, corrections)]
 
 
 def raise_decomposition(poly: RnsPolynomial, level: int,

@@ -141,7 +141,7 @@ class LinearTransform:
 
         # Eager reference path: baby steps fully key-switched (one
         # shared raise, but one ModDown per baby), then PMult in C_level.
-        babies = evaluator.rotate_hoisted(ct, baby_needed)
+        babies = evaluator.galois_hoisted(ct, baby_needed)
         acc: Ciphertext | None = None
         for giant in sorted(groups):
             inner: Ciphertext | None = None

@@ -264,51 +264,25 @@ def _halves(x: np.ndarray, tag: str) -> tuple[np.ndarray, np.ndarray]:
 
 def mul128(a: np.ndarray, b: np.ndarray,
            out_hi: np.ndarray | None = None,
-           out_lo: np.ndarray | None = None,
-           _tag: str = "mul128") -> tuple[np.ndarray, np.ndarray]:
+           out_lo: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Full 128-bit product of two ``uint64`` arrays as a ``(hi, lo)`` pair.
 
-    Uses 32-bit limb decomposition; every partial product and the carry sum
-    fit in a ``uint64`` ((2^32-1)^2 + 3*(2^32-1) < 2^64).  ``out_hi`` /
-    ``out_lo`` must not overlap the inputs (the half-word views of ``a``
-    and ``b`` are read after the outputs are written).
+    The high word is :func:`mulhi64`'s ladder; the low word is the
+    wrapping multiply.  ``out_hi`` / ``out_lo`` must not overlap the
+    inputs (both words are written while the inputs are still read).
     """
-    a = _as_u64(a)
-    b = _as_u64(b)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    if out_hi is None:
-        out_hi = np.empty(shape, np.uint64)
-    if out_lo is None:
-        out_lo = np.empty(shape, np.uint64)
-    a0, a1 = _halves(a, _tag + ".a")
-    b0, b1 = _halves(b, _tag + ".b")
-    np.multiply(a, b, out=out_lo)  # wrapping multiply == low 64 bits
-    p00 = np.multiply(a0, b0, dtype=np.uint64,
-                      out=_ws.get(_tag + ".p00", shape))
-    p01 = np.multiply(a0, b1, dtype=np.uint64,
-                      out=_ws.get(_tag + ".p01", shape))
-    p10 = np.multiply(a1, b0, dtype=np.uint64,
-                      out=_ws.get(_tag + ".p10", shape))
-    np.multiply(a1, b1, dtype=np.uint64, out=out_hi)  # p11
-    # mid = (p00 >> 32) + (p01 & MASK) + (p10 & MASK): the partial
-    # products are contiguous scratch, so their halves are free views.
-    p00_lo, p00_hi = _halves(p00, _tag + ".c")
-    p01_lo, p01_hi = _halves(p01, _tag + ".d")
-    p10_lo, p10_hi = _halves(p10, _tag + ".e")
-    mid = np.add(p00_hi, p01_lo, dtype=np.uint64,
-                 out=_ws.get(_tag + ".mid", shape))
-    np.add(mid, p10_lo, out=mid)
-    # hi = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    np.add(out_hi, p01_hi, out=out_hi)
-    np.add(out_hi, p10_hi, out=out_hi)
-    np.right_shift(mid, _SHIFT32, out=mid)
-    np.add(out_hi, mid, out=out_hi)
-    return out_hi, out_lo
+    return (mulhi64(a, b, out=out_hi),
+            np.multiply(_as_u64(a), _as_u64(b), out=out_lo))
 
 
 def mulhi64(a: np.ndarray, b: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
-    """High 64 bits of the 128-bit product ``a * b``."""
+    """High 64 bits of the 128-bit product ``a * b``.
+
+    Uses 32-bit limb decomposition; every partial product and the carry
+    sum fit in a ``uint64`` ((2^32-1)^2 + 3*(2^32-1) < 2^64).
+    """
     a = _as_u64(a)
     b = _as_u64(b)
     shape = np.broadcast_shapes(a.shape, b.shape)
@@ -497,9 +471,9 @@ def barrett_reduce128(hi: np.ndarray, lo: np.ndarray,
     #   x * mu = (hi*mu_hi + h1 + h2) * 2^128 + (l1 + l2 + h3) * 2^64 + low.
     shape = np.broadcast_shapes(hi.shape, np.shape(m.mu_lo))
     h1, l1 = mul128(hi, m.mu_lo, out_hi=_ws.get("barrett.h1", shape),
-                    out_lo=_ws.get("barrett.l1", shape), _tag="barrett.m1")
+                    out_lo=_ws.get("barrett.l1", shape))
     h2, l2 = mul128(lo, m.mu_hi, out_hi=_ws.get("barrett.h2", shape),
-                    out_lo=_ws.get("barrett.l2", shape), _tag="barrett.m2")
+                    out_lo=_ws.get("barrett.l2", shape))
     h3 = mulhi64(lo, m.mu_lo, out=_ws.get("barrett.h3", shape))
     # s = l1 + l2 (+ h3), tracking the carries out of the 64..127 bits.
     s = np.add(l1, l2, out=l2)
@@ -763,27 +737,3 @@ def inv_mod(a: int, m: int | Modulus) -> int:
         return pow(a, -1, int(m))
     except ValueError as exc:  # pragma: no cover - message normalization
         raise ValueError(f"{a} is not invertible modulo {int(m)}") from exc
-
-
-def to_signed(a: np.ndarray, m: Modulus) -> np.ndarray:
-    """Map canonical residues to the centered interval (-m/2, m/2].
-
-    Returns ``int64`` when the modulus fits, else ``object`` (Python ints).
-    """
-    a = _as_u64(a)
-    half = m.value // 2
-    if m.value < (1 << 62):
-        signed = a.astype(np.int64)
-        return np.where(a > half, signed - np.int64(m.value), signed)
-    lifted = a.astype(object)
-    return np.where(a > half, lifted - m.value, lifted)
-
-
-def from_signed(a: np.ndarray, m: Modulus) -> np.ndarray:
-    """Map signed integers (any magnitude) to canonical residues mod m."""
-    arr = np.asarray(a)
-    if arr.dtype == object:
-        return np.array([int(x) % m.value for x in arr.ravel()],
-                        dtype=np.uint64).reshape(arr.shape)
-    return np.mod(arr.astype(np.int64), np.int64(m.value)).astype(np.uint64)
-

@@ -36,9 +36,10 @@ and serving-layer metrics are object-scoped and unaffected — attach a
 get always-on instruments.
 """
 
+import importlib
+
 from repro.obs import kernel, metrics
 from repro.obs.calibration import CalibrationRecorder, SlowJob
-from repro.obs.events import JobJournal, read_journal, validate_journal
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -46,20 +47,30 @@ from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
 )
-from repro.obs.trace import Span, Tracer, validate_chrome_trace
 
-#: noise-tracker exports resolved lazily (PEP 562): repro.obs is
+#: exports resolved lazily (PEP 562), name -> submodule.  repro.obs is
 #: imported from inside the ckks kernels (the gated tallies), while
 #: repro.obs.noise builds on the ckks analytic model — an eager import
-#: here would be circular.
-_LAZY = ("NoiseTracker", "PlanNoiseProfile", "PrecisionProbe")
+#: would be circular.  repro.obs.trace and repro.obs.events double as
+#: ``python -m`` validators, and runpy warns when the package import
+#: has already loaded the module it is asked to run.
+_LAZY = {
+    "NoiseTracker": "noise",
+    "PlanNoiseProfile": "noise",
+    "PrecisionProbe": "noise",
+    "Span": "trace",
+    "Tracer": "trace",
+    "validate_chrome_trace": "trace",
+    "JobJournal": "events",
+    "read_journal": "events",
+    "validate_journal": "events",
+}
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        from repro.obs import noise
-
-        return getattr(noise, name)
+    module = _LAZY.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f"repro.obs.{module}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

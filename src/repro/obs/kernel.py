@@ -25,8 +25,9 @@ Fields:
   per-prime scalar oracle (counts 1).
 * ``bconv_calls`` / ``bconv_planes`` — fast base conversions and their
   ``dst x src`` partial-product plane accumulations (the MMAU work).
-* ``moddown`` — logical ModDown eliminations (``mod_down_pair`` counts
-  2: it fuses two, it does not skip one).
+* ``moddown`` — logical ModDown eliminations: the one stacked ModDown
+  tail behind ``mod_down_pair`` and ``mod_down_many`` counts one per
+  polynomial (a pair counts 2: it fuses two, it does not skip one).
 """
 
 from __future__ import annotations

@@ -62,7 +62,6 @@ def _effective_args(plan: Plan, nid: int) -> tuple[int, ...]:
 def execute(plan: Plan, evaluator: Evaluator,
             inputs: dict[str, Ciphertext],
             bootstrapper=None,
-            validate: bool = True,
             seeded_nodes: dict[int, Ciphertext] | None = None,
             should_cancel=None, span=None,
             noise: PlanNoiseProfile | None = None
@@ -82,7 +81,7 @@ def execute(plan: Plan, evaluator: Evaluator,
     job is seeded at its frontier.  A seeded node is not executed, and
     any upstream node only it needed is skipped too — a rotation batch
     whose members were all seeded never raises at all.  Seeded values
-    still pass the per-node level/scale validation.
+    still pass the level/scale validation every node gets.
 
     ``should_cancel`` is an optional zero-argument callable polled
     before every node; when it returns true, execution aborts with
@@ -109,17 +108,14 @@ def execute(plan: Plan, evaluator: Evaluator,
     """
     values = _run(plan, evaluator, inputs,
                   targets=set(plan.outputs.values()),
-                  bootstrapper=bootstrapper, validate=validate,
-                  seeded_nodes=seeded_nodes, should_cancel=should_cancel,
-                  span=span, noise=noise)
+                  bootstrapper=bootstrapper, seeded_nodes=seeded_nodes,
+                  should_cancel=should_cancel, span=span, noise=noise)
     return {name: values[nid] for name, nid in plan.outputs.items()}
 
 
 def execute_subgraph(plan: Plan, evaluator: Evaluator,
                      inputs: dict[str, Ciphertext],
-                     node_ids, bootstrapper=None, validate: bool = True,
-                     should_cancel=None, span=None
-                     ) -> dict[int, Ciphertext]:
+                     node_ids) -> dict[int, Ciphertext]:
     """Execute just enough of ``plan`` to produce ``node_ids``.
 
     The cross-job sharing primitive: the scheduler runs a batch
@@ -129,16 +125,16 @@ def execute_subgraph(plan: Plan, evaluator: Evaluator,
     depend on need to be bound; execution is the same code path as
     :func:`execute` (same batching, fusion, validation), so subgraph
     results are byte-identical to the values a full run would compute.
+    A window plan holds no BOOTSTRAP node, so no bootstrapper is taken.
     """
     return _run(plan, evaluator, inputs, targets=set(node_ids),
-                bootstrapper=bootstrapper, validate=validate,
-                seeded_nodes=None, should_cancel=should_cancel,
-                span=span, noise=None)
+                bootstrapper=None, seeded_nodes=None, should_cancel=None,
+                span=None, noise=None)
 
 
 def _run(plan: Plan, evaluator: Evaluator, inputs: dict[str, Ciphertext],
-         targets: set[int], bootstrapper, validate, seeded_nodes,
-         should_cancel, span, noise) -> dict[int, Ciphertext]:
+         targets: set[int], bootstrapper, seeded_nodes, should_cancel,
+         span, noise) -> dict[int, Ciphertext]:
     program = plan.program
     seeded_nodes = seeded_nodes or {}
     fusion_root = {f.root: f for f in plan.fusions}
@@ -185,32 +181,29 @@ def _run(plan: Plan, evaluator: Evaluator, inputs: dict[str, Ciphertext],
     for nid, ct in seeded_nodes.items():
         if refcount.get(nid, 0) == 0:
             continue
-        if validate:
-            meta = plan.meta[nid]
-            if ct.level != meta.level:
-                raise ExecutionError(
-                    f"seeded node {nid} at level {ct.level}, planned "
-                    f"{meta.level}")
-            if abs(ct.scale - meta.scale) > SCALE_RTOL * meta.scale:
-                raise ExecutionError(
-                    f"seeded node {nid} at scale {ct.scale:.6g}, planned "
-                    f"{meta.scale:.6g}")
+        meta = plan.meta[nid]
+        if ct.level != meta.level:
+            raise ExecutionError(
+                f"seeded node {nid} at level {ct.level}, planned "
+                f"{meta.level}")
+        if abs(ct.scale - meta.scale) > SCALE_RTOL * meta.scale:
+            raise ExecutionError(
+                f"seeded node {nid} at scale {ct.scale:.6g}, planned "
+                f"{meta.scale:.6g}")
         values[nid] = ct
 
     # Hoisted batches over the members that actually execute this run
     # (seeded members consume no batch slot, and a batch whose members
-    # were all seeded never raises at all).
-    batch_rotations: dict[int, list[int]] = {}
-    batch_conjugate: dict[int, bool] = {}
-    batch_pending: dict[int, int] = {}
-    for i, batch in enumerate(plan.batches):
-        live_rots = [m for m in batch.members if m in executed]
-        live_conjs = [m for m in batch.conj_members if m in executed]
-        batch_rotations[i] = sorted(
-            {plan.nodes[m].rotation for m in live_rots})
-        batch_conjugate[i] = bool(live_conjs)
-        batch_pending[i] = len(live_rots) + len(live_conjs)
-    batch_results: dict[int, tuple] = {}
+    # were all seeded never raises at all).  A member's galois amount is
+    # its rotation, or ``None`` for conjugation.
+    def galois_amount(nid: int) -> int | None:
+        node = plan.nodes[nid]
+        return node.rotation if node.op is OpCode.HROT else None
+
+    batch_amounts = [[galois_amount(m) for m in batch.members
+                      if m in executed] for batch in plan.batches]
+    batch_pending = [len(amounts) for amounts in batch_amounts]
+    batch_results: dict[int, dict] = {}
 
     def consume(nid: int) -> Ciphertext:
         ct = values[nid]
@@ -303,13 +296,10 @@ def _run(plan: Plan, evaluator: Evaluator, inputs: dict[str, Ciphertext],
                     # One NTT-domain raise of source.a serves every
                     # rotation and conjugation of the batch.
                     cached = evaluator.galois_hoisted(
-                        source, batch_rotations[batch_index],
-                        conjugate=batch_conjugate[batch_index])
+                        source, batch_amounts[batch_index])
                     batch_results[batch_index] = cached
-                rotations, conjugated = cached
                 consume(node.args[0])
-                result = (rotations[node.rotation] if op is OpCode.HROT
-                          else conjugated)
+                result = cached[galois_amount(nid)]
                 batch_pending[batch_index] -= 1
                 if batch_pending[batch_index] == 0:
                     del batch_results[batch_index]  # free unconsumed rots
@@ -327,15 +317,14 @@ def _run(plan: Plan, evaluator: Evaluator, inputs: dict[str, Ciphertext],
         else:  # pragma: no cover - enum is closed
             raise ExecutionError(f"unhandled op {op}")
 
-        if validate:
-            if result.level != meta.level:
-                raise ExecutionError(
-                    f"node {nid} ({op.value}) produced level "
-                    f"{result.level}, planned {meta.level}")
-            if abs(result.scale - meta.scale) > SCALE_RTOL * meta.scale:
-                raise ExecutionError(
-                    f"node {nid} ({op.value}) produced scale "
-                    f"{result.scale:.6g}, planned {meta.scale:.6g}")
+        if result.level != meta.level:
+            raise ExecutionError(
+                f"node {nid} ({op.value}) produced level "
+                f"{result.level}, planned {meta.level}")
+        if abs(result.scale - meta.scale) > SCALE_RTOL * meta.scale:
+            raise ExecutionError(
+                f"node {nid} ({op.value}) produced scale "
+                f"{result.scale:.6g}, planned {meta.scale:.6g}")
         if node_span is not None:
             if tally_before is not None:
                 node_span.annotate(

@@ -121,19 +121,20 @@ class NodeMeta:
 class RotationBatch:
     """Galois nodes sharing one source ciphertext (one hoisted raise).
 
-    ``members`` are HROT nodes, ``conj_members`` CONJ nodes; all of
-    them share a single NTT-domain raised decomposition of the source's
-    ``a`` half (``Evaluator.galois_hoisted``), so each member costs one
-    evaluation-point gather + evk product + ModDown instead of a full
-    decompose/ModUp of its own.
+    ``members`` holds the batch's HROT and CONJ nodes in plan order;
+    all of them share a single NTT-domain raised decomposition of the
+    source's ``a`` half (``Evaluator.galois_hoisted``), so each member
+    costs one evaluation-point gather + evk product + ModDown instead
+    of a full decompose/ModUp of its own.
     """
 
     source: int
     members: tuple[int, ...]
-    conj_members: tuple[int, ...] = ()
 
     def amounts(self, nodes: dict[int, Node]) -> list[int]:
-        return sorted({nodes[m].rotation for m in self.members})
+        """The batch's HRot amounts (its CONJ members have none)."""
+        return sorted({nodes[m].rotation for m in self.members
+                       if nodes[m].op is OpCode.HROT})
 
 
 @dataclass
@@ -369,25 +370,21 @@ def detect_rotation_batches(plan: Plan,
     """
     plan.batches = []
     plan.batch_of = {}
-    groups: dict[int, tuple[list[int], list[int]]] = {}
+    groups: dict[int, list[int]] = {}
     for nid in plan.order:
         if nid in exclude:
             continue
         node = plan.nodes[nid]
-        if node.op is OpCode.HROT:
-            groups.setdefault(node.args[0], ([], []))[0].append(nid)
-        elif node.op is OpCode.CONJ:
-            groups.setdefault(node.args[0], ([], []))[1].append(nid)
-    for source, (rots, conjs) in groups.items():
         # Any two galois ops on one source share the raised
         # decomposition, so CONJ nodes join their source's batch.
-        if len(rots) + len(conjs) < 2:
+        if node.op in (OpCode.HROT, OpCode.CONJ):
+            groups.setdefault(node.args[0], []).append(nid)
+    for source, members in groups.items():
+        if len(members) < 2:
             continue
-        index = len(plan.batches)
-        plan.batches.append(
-            RotationBatch(source, tuple(rots), tuple(conjs)))
-        for member in rots + conjs:
-            plan.batch_of[member] = index
+        for member in members:
+            plan.batch_of[member] = len(plan.batches)
+        plan.batches.append(RotationBatch(source, tuple(members)))
 
 
 def plan_program(program: Program, config: PlannerConfig) -> Plan:
@@ -499,12 +496,12 @@ class PlanCache:
         return len(self._entries)
 
     def get(self, program: Program, config: PlannerConfig,
-            params_digest: str = "") -> tuple[Plan, bool, str]:
-        """Return ``(plan, was_cached, cache_key)``, planning on a miss.
+            params_digest: str = "") -> tuple[PlanEntry, bool, str]:
+        """Return ``(entry, was_cached, cache_key)``, planning on a miss.
 
-        The key is handed back so callers reach the plan's
-        :class:`PlanEntry` (:meth:`entry`) without re-walking the
-        program for a second structural hash.
+        The entry itself is handed back: another thread's lookup may
+        evict it the moment the lock is released, and a caller holding
+        the entry keeps its plan either way.
         """
         key = plan_cache_key(program, config, params_digest)
         with self._lock:
@@ -512,16 +509,20 @@ class PlanCache:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return entry.plan, True, key
-            plan = plan_program(program, config)
-            self._entries[key] = PlanEntry(plan)
+                return entry, True, key
+            entry = self._entries[key] = PlanEntry(
+                plan_program(program, config))
             self.misses += 1
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-        return plan, False, key
+        return entry, False, key
 
     def entry(self, key: str) -> PlanEntry | None:
-        """The resident entry under ``key`` (no LRU or hit-count change)."""
+        """The resident entry under ``key`` (no LRU or hit-count change).
+
+        A peek for pricing; a caller that runs the plan keeps the entry
+        :meth:`get` returned instead.
+        """
         return self._entries.get(key)
 
     def derived_view(self, name: str) -> "DerivedView":

@@ -570,10 +570,10 @@ class RequestScheduler:
 
     def _admit(self, job: _Job) -> None:
         """Plan the job and enforce the admission cost ceiling."""
-        plan, job.cache_hit, job.cache_key = self.plan_cache.get(
+        job.entry, job.cache_hit, job.cache_key = self.plan_cache.get(
             job.request.program, self.planner_config,
             self.ring.params.digest)
-        job.entry = self.plan_cache.entry(job.cache_key)
+        plan = job.entry.plan
         self._m_plan_cache.inc(
             result="hit" if job.cache_hit else "miss")
         session = self.registry.session(job.request.tenant)

@@ -158,7 +158,7 @@ class TestTripleRouteEquivalence:
     """sequential == NTT-domain hoisted, bit for bit.
 
     Both rotation routes must produce identical ciphertext residues:
-    `rotate` (NTT-domain, per-op raise) and `rotate_hoisted` (one
+    `rotate` (NTT-domain, per-op raise) and `galois_hoisted` (one
     shared raise).  The gather itself is pinned to the
     coefficient-domain `galois_coeff` oracle above.
     """
@@ -177,7 +177,7 @@ class TestTripleRouteEquivalence:
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
         if level_drop:
             ct = small_evaluator.drop_to_level(ct, ct.level - level_drop)
-        ntt_batch = small_evaluator.rotate_hoisted(ct, amounts)
+        ntt_batch = small_evaluator.galois_hoisted(ct, amounts)
         for amount in set(amounts):
             sequential = small_evaluator.rotate(ct, amount)
             got = ntt_batch[amount]
@@ -192,15 +192,17 @@ class TestTripleRouteEquivalence:
         z = rng.normal(size=small_params.slots_max) \
             + 1j * rng.normal(size=small_params.slots_max)
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
-        rotations, conj = small_evaluator.galois_hoisted(
-            ct, [1, 2], conjugate=True)
-        standalone = small_evaluator.conjugate(ct)
-        assert np.array_equal(conj.b.residues, standalone.b.residues)
-        assert np.array_equal(conj.a.residues, standalone.a.residues)
-        for amount in (1, 2):
-            want = small_evaluator.rotate(ct, amount)
-            assert np.array_equal(rotations[amount].b.residues,
-                                  want.b.residues)
+        batch = small_evaluator.galois_hoisted(ct, [1, None, 0, 1])
+        assert set(batch) == {1, None, 0}
+        wants = {1: small_evaluator.rotate(ct, 1),
+                 None: small_evaluator.conjugate(ct),
+                 0: ct.clone()}
+        for amount, want in wants.items():
+            got = batch[amount]
+            assert got.level == want.level
+            assert got.scale == want.scale
+            assert np.array_equal(got.b.residues, want.b.residues)
+            assert np.array_equal(got.a.residues, want.a.residues)
 
 
 class TestMonomialShift:

@@ -76,7 +76,7 @@ class TestHoistedRotation:
             + 1j * rng.normal(size=small_params.slots_max)
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
         amounts = [1, 2, 4]
-        hoisted = small_evaluator.rotate_hoisted(ct, amounts)
+        hoisted = small_evaluator.galois_hoisted(ct, amounts)
         for amount in amounts:
             want = small_evaluator.decrypt_to_message(
                 small_evaluator.rotate(ct, amount), small_keys.secret)
@@ -89,7 +89,7 @@ class TestHoistedRotation:
         z = rng.normal(size=small_params.slots_max) \
             + 1j * rng.normal(size=small_params.slots_max)
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
-        hoisted = small_evaluator.rotate_hoisted(ct, [2, 3])
+        hoisted = small_evaluator.galois_hoisted(ct, [2, 3])
         for amount in (2, 3):
             got = small_evaluator.decrypt_to_message(hoisted[amount],
                                                      small_keys.secret)
@@ -99,7 +99,7 @@ class TestHoistedRotation:
                                   small_encoder, rng, small_params):
         z = rng.normal(size=small_params.slots_max) + 0j
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
-        hoisted = small_evaluator.rotate_hoisted(ct, [0, 1])
+        hoisted = small_evaluator.galois_hoisted(ct, [0, 1])
         got = small_evaluator.decrypt_to_message(hoisted[0],
                                                  small_keys.secret)
         assert np.max(np.abs(got - z)) < 1e-6
@@ -109,7 +109,7 @@ class TestHoistedRotation:
                                             rng, small_params):
         z = rng.normal(size=small_params.slots_max) + 0j
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
-        hoisted = small_evaluator.rotate_hoisted(ct, [1, 1, 1])
+        hoisted = small_evaluator.galois_hoisted(ct, [1, 1, 1])
         assert set(hoisted) == {1}
 
     def test_missing_key_rejected(self, small_evaluator, small_keys,
@@ -117,14 +117,14 @@ class TestHoistedRotation:
         z = rng.normal(size=small_params.slots_max) + 0j
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
         with pytest.raises(ValueError):
-            small_evaluator.rotate_hoisted(ct, [7])
+            small_evaluator.galois_hoisted(ct, [7])
 
     def test_works_at_lower_level(self, small_evaluator, small_keys,
                                   small_encoder, rng, small_params):
         z = rng.normal(size=small_params.slots_max) + 0j
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
         low = small_evaluator.drop_to_level(ct, 2)
-        hoisted = small_evaluator.rotate_hoisted(low, [1])
+        hoisted = small_evaluator.galois_hoisted(low, [1])
         got = small_evaluator.decrypt_to_message(hoisted[1],
                                                  small_keys.secret)
         assert np.max(np.abs(got - np.roll(z, -1))) < 1e-6
@@ -132,7 +132,7 @@ class TestHoistedRotation:
 
 @pytest.mark.slow
 class TestHoistedBitIdentity:
-    """Invariant: rotate_hoisted(ct, rots) == {r: rotate(ct, r)} bitwise.
+    """Invariant: galois_hoisted(ct, rots) == {r: rotate(ct, r)} bitwise.
 
     Both paths funnel through ``Evaluator._galois_from_raised``; the
     only difference is whether the decompose/ModUp half is shared, and
@@ -154,7 +154,7 @@ class TestHoistedBitIdentity:
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
         if level_drop:
             ct = small_evaluator.drop_to_level(ct, ct.level - level_drop)
-        hoisted = small_evaluator.rotate_hoisted(ct, amounts)
+        hoisted = small_evaluator.galois_hoisted(ct, amounts)
         for amount in set(amounts):
             want = small_evaluator.rotate(ct, amount)
             got = hoisted[amount]

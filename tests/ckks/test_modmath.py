@@ -10,7 +10,6 @@ from repro.ckks.modmath import (
     Modulus,
     add_mod,
     barrett_reduce128,
-    from_signed,
     inv_mod,
     mul128,
     mul_mod,
@@ -21,7 +20,6 @@ from repro.ckks.modmath import (
     pow_mod,
     shoup_precompute,
     sub_mod,
-    to_signed,
 )
 
 MODULI = [17, 257, (1 << 30) + 3, (1 << 45) + 59, (1 << 59) + 55,
@@ -150,19 +148,6 @@ class TestScalarHelpers:
     def test_inv_mod_non_invertible(self):
         with pytest.raises(ValueError):
             inv_mod(5, 25)
-
-    def test_signed_roundtrip(self, rng):
-        q = (1 << 50) + 5
-        m = Modulus(q)
-        a = rng.integers(0, q, size=100, dtype=np.uint64)
-        signed = to_signed(a, m)
-        assert np.array_equal(from_signed(signed, m), a)
-
-    def test_to_signed_centering(self):
-        q = 101
-        m = Modulus(q)
-        vals = np.array([0, 1, 50, 51, 100], dtype=np.uint64)
-        assert list(to_signed(vals, m)) == [0, 1, 50, -50, -1]
 
 
 @st.composite

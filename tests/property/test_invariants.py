@@ -294,7 +294,9 @@ class TestModUpModDownInvariants:
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=10, deadline=None)
     def test_mod_down_pair_bit_identical_to_singles(self, seed):
-        from repro.ckks.keyswitch import mod_down, mod_down_pair
+        """Both stacked ModDown entries equal the per-polynomial oracle."""
+        from repro.ckks.keyswitch import mod_down, mod_down_many, \
+            mod_down_pair
         from tests.property._shared import shared_setup
         ring, _, _, _ = shared_setup()
         rng = np.random.default_rng(seed)
@@ -302,8 +304,9 @@ class TestModUpModDownInvariants:
             base = ring.base_qp(level)
             pb = _random_poly(ring, base, rng, is_ntt=True)
             pa = _random_poly(ring, base, rng, is_ntt=True)
-            got_b, got_a = mod_down_pair(pb, pa, level, ring)
             want_b = mod_down(pb, level, ring)
             want_a = mod_down(pa, level, ring)
-            assert np.array_equal(got_b.residues, want_b.residues)
-            assert np.array_equal(got_a.residues, want_a.residues)
+            for got_b, got_a in (mod_down_pair(pb, pa, level, ring),
+                                 mod_down_many([pb, pa], level, ring)):
+                assert np.array_equal(got_b.residues, want_b.residues)
+                assert np.array_equal(got_a.residues, want_a.residues)

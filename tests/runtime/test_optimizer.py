@@ -134,8 +134,7 @@ class TestFusionDetection:
         plan = plan_program(prog, fused_config(small_ring))
         assert plan.fusions == []
         # the ordinary hoisting pass still batches nothing across sources
-        assert all(len(b.members) + len(b.conj_members) <= 1
-                   for b in plan.batches)
+        assert all(len(b.members) <= 1 for b in plan.batches)
 
     def test_single_galois_term_rejected(self, small_ring):
         n = small_ring.params.slots_max

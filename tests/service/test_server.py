@@ -109,6 +109,29 @@ class TestPlanCache:
         assert [r.plan_cache_hit for r in results].count(True) >= 2
         assert server.scheduler.plan_cache.stats()["misses"] == 1
 
+    def test_plan_evicted_right_after_lookup_still_runs(self, ready_server):
+        """Windows are prepared on several workers at once: another
+        worker's lookup may evict a plan the moment ``get`` returned it.
+        The job keeps the entry it was handed and runs to completion."""
+        server, client = ready_server
+        other = stencil_program([3], name="other")
+
+        class EvictingCache(PlanCache):
+            def get(self, program, config, params_digest=""):
+                found = super().get(program, config, params_digest)
+                if program is not other:  # the other worker's lookup
+                    super().get(other, config, params_digest)
+                return found
+
+        server.scheduler.plan_cache = EvictingCache(capacity=1)
+        vec = np.linspace(-0.4, 0.4, 8)
+        [result] = server.serve([JobRequest(
+            "alice", stencil_program([1, 2]),
+            {"x": client.encrypt_blob(vec)})])
+        got = client.decrypt_blob(result.outputs["out"])
+        want = stencil_reference(vec, [1, 2])
+        assert np.max(np.abs(got.real[:8] - want)) < 1e-4
+
 
 class TestDerivedPlanState:
     """Plan-derived values (admission estimate, noise profile, window
@@ -376,7 +399,7 @@ class TestSeededExecutor:
         from repro.runtime import execute
 
         plain = execute(plan, small_evaluator, {"x": ct})
-        rotations, _ = small_evaluator.galois_hoisted(ct, [1, 2, 3])
+        rotations = small_evaluator.galois_hoisted(ct, [1, 2, 3])
         seeds = {nid: rotations[plan.nodes[nid].rotation]
                  for nid in plan.order
                  if plan.nodes[nid].op is OpCode.HROT}
@@ -441,7 +464,7 @@ class TestSeededExecutor:
         ct = self._encrypt(small_keys, small_encoder, z)
         from repro.runtime import execute
 
-        rotations, _ = small_evaluator.galois_hoisted(ct, [1])  # 2 missing
+        rotations = small_evaluator.galois_hoisted(ct, [1])  # 2 missing
         seeds = {nid: rotations[1] for nid in plan.order
                  if plan.nodes[nid].op is OpCode.HROT
                  and plan.nodes[nid].rotation == 1}
