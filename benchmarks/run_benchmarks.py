@@ -250,11 +250,11 @@ def bench_service(ring, reps: int
     the instrumentation overhead (the ``--check`` gate holds it to 5%).
     ``service_throughput_batched`` / ``_unbatched`` measure one batch
     window of 8 concurrent small rotation programs submitted by one
-    tenant against a *shared* input ciphertext — with coalescing on, the
+    tenant — batched, against a *shared* input ciphertext, so the
     scheduler runs one hoisted raise for the union of all 8 jobs'
-    rotation amounts; off, every job pays its own raise.  The two
-    kernels produce byte-identical result blobs (hoisted == sequential,
-    bit for bit), so their ratio is a pure scheduling win.  The batched
+    rotation amounts; unbatched, each job against a fresh encryption of
+    the same vector, so no two jobs share a value and every job pays
+    its own raise (and its own blob decode).  The batched
     server runs with admission pricing on, and its calibration summary
     (actual/estimate ratios per plan) is returned alongside the kernels
     for the benchmark payload.  The unbatched window is timed at each
@@ -317,15 +317,18 @@ def bench_service(ring, reps: int
         prog.output("out", acc)
         return prog
 
-    requests = [JobRequest("bench", make_program(i), {"x": blob})
-                for i in range(SERVICE_WINDOW)]
+    shared = [JobRequest("bench", make_program(i), {"x": blob})
+              for i in range(SERVICE_WINDOW)]
+    fresh = [JobRequest("bench", make_program(i),
+                        {"x": client.encrypt_blob(vec)})
+             for i in range(SERVICE_WINDOW)]
     calibration: dict = {}
     scaling: dict = {}
-    configs = [("service_throughput_batched", True, 1)] + [
-        ("service_throughput_unbatched", False, w) for w in SERVICE_WORKERS]
-    for label, coalesce, workers in configs:
+    configs = [("service_throughput_batched", shared, 1)] + [
+        ("service_throughput_unbatched", fresh, w) for w in SERVICE_WORKERS]
+    for label, requests, workers in configs:
         server = FheServer(params, ServiceConfig(
-            workers=workers, max_batch=SERVICE_WINDOW, coalesce=coalesce,
+            workers=workers, max_batch=SERVICE_WINDOW,
             max_job_seconds=1.0), ring=ring)
         server.open_session("bench")
         server.register_keys("bench", relin=client.relin_blob(),
@@ -334,7 +337,7 @@ def bench_service(ring, reps: int
         seconds = _median_seconds(lambda: server.serve(requests), reps)
         if workers == 1:
             out[label] = (seconds, reps)
-        if coalesce:
+        if requests is shared:
             calibration = server.scheduler.calibration.summary()
         else:
             scaling[str(workers)] = round(SERVICE_WINDOW / seconds, 2)

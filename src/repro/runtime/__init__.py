@@ -2,9 +2,9 @@
 
 Record a CKKS computation once as a lazy op graph, then get both a
 functional result (executed against the :mod:`repro.ckks` evaluator with
-hoisted rotation batches, lazy rescale and automatic bootstrap
-placement) and a cycle-level BTS timing estimate (lowered to the
-:mod:`repro.core` simulator's HEOp trace) from the same definition.
+hoisted rotation batches and lazy rescale) and a cycle-level BTS timing
+estimate (lowered to the :mod:`repro.core` simulator's HEOp trace, with
+automatic bootstrap placement) from the same definition.
 """
 
 from repro.runtime.executor import ExecutionCancelled, ExecutionError, \

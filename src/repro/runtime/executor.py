@@ -61,7 +61,6 @@ def _effective_args(plan: Plan, nid: int) -> tuple[int, ...]:
 
 def execute(plan: Plan, evaluator: Evaluator,
             inputs: dict[str, Ciphertext],
-            bootstrapper=None,
             seeded_nodes: dict[int, Ciphertext] | None = None,
             should_cancel=None, span=None,
             noise: PlanNoiseProfile | None = None
@@ -69,9 +68,9 @@ def execute(plan: Plan, evaluator: Evaluator,
     """Run ``plan`` and return the named output ciphertexts.
 
     ``inputs`` maps the program's input names to ciphertexts encrypted
-    at the planner's assumed input level/scale.  ``bootstrapper`` is
-    required iff the plan contains BOOTSTRAP nodes (its evaluator must
-    be ``evaluator``).
+    at the planner's assumed input level/scale.  A BOOTSTRAP node
+    lowers to the simulator only (:mod:`repro.runtime.lowering`);
+    executing one raises :class:`ExecutionError`.
 
     ``seeded_nodes`` maps *node ids* to already-computed ciphertexts —
     the scheduler's cross-job sharing hook: the values several queued
@@ -108,7 +107,7 @@ def execute(plan: Plan, evaluator: Evaluator,
     """
     values = _run(plan, evaluator, inputs,
                   targets=set(plan.outputs.values()),
-                  bootstrapper=bootstrapper, seeded_nodes=seeded_nodes,
+                  seeded_nodes=seeded_nodes,
                   should_cancel=should_cancel, span=span, noise=noise)
     return {name: values[nid] for name, nid in plan.outputs.items()}
 
@@ -125,16 +124,15 @@ def execute_subgraph(plan: Plan, evaluator: Evaluator,
     depend on need to be bound; execution is the same code path as
     :func:`execute` (same batching, fusion, validation), so subgraph
     results are byte-identical to the values a full run would compute.
-    A window plan holds no BOOTSTRAP node, so no bootstrapper is taken.
     """
     return _run(plan, evaluator, inputs, targets=set(node_ids),
-                bootstrapper=None, seeded_nodes=None, should_cancel=None,
-                span=None, noise=None)
+                seeded_nodes=None, should_cancel=None, span=None,
+                noise=None)
 
 
 def _run(plan: Plan, evaluator: Evaluator, inputs: dict[str, Ciphertext],
-         targets: set[int], bootstrapper, seeded_nodes, should_cancel,
-         span, noise) -> dict[int, Ciphertext]:
+         targets: set[int], seeded_nodes, should_cancel, span,
+         noise) -> dict[int, Ciphertext]:
     program = plan.program
     seeded_nodes = seeded_nodes or {}
     fusion_root = {f.root: f for f in plan.fusions}
@@ -305,17 +303,10 @@ def _run(plan: Plan, evaluator: Evaluator, inputs: dict[str, Ciphertext],
                     del batch_results[batch_index]  # free unconsumed rots
         elif op is OpCode.RESCALE:
             result = evaluator.rescale(consume(node.args[0]))
-        elif op is OpCode.BOOTSTRAP:
-            if bootstrapper is None:
-                raise ExecutionError(
-                    "plan contains bootstrap nodes but no bootstrapper "
-                    "was provided")
-            ct = consume(node.args[0])
-            if ct.level > 0:
-                ct = evaluator.drop_to_level(ct, 0)
-            result = bootstrapper.bootstrap(ct)
-        else:  # pragma: no cover - enum is closed
-            raise ExecutionError(f"unhandled op {op}")
+        else:  # BOOTSTRAP, the one op left
+            raise ExecutionError(
+                f"node {nid} ({op.value}) lowers to the simulator only; "
+                "the executor has no bootstrap path")
 
         if result.level != meta.level:
             raise ExecutionError(

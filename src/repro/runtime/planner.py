@@ -517,14 +517,6 @@ class PlanCache:
                 self._entries.popitem(last=False)
         return entry, False, key
 
-    def entry(self, key: str) -> PlanEntry | None:
-        """The resident entry under ``key`` (no LRU or hit-count change).
-
-        A peek for pricing; a caller that runs the plan keeps the entry
-        :meth:`get` returned instead.
-        """
-        return self._entries.get(key)
-
     def derived_view(self, name: str) -> "DerivedView":
         """``key -> entry.derived[name]`` over the resident entries."""
         return DerivedView(self._entries, name)

@@ -12,8 +12,8 @@ amortizes cost across tenants and requests.  Five pieces:
   under an LRU byte budget.
 * :mod:`repro.service.scheduler` / :mod:`repro.service.server` — an
   async batching scheduler (plan cache, BTS-cycle cost admission,
-  cross-job hoisted rotation coalescing, bounded cost-aware submit
-  queue) behind the :class:`~repro.service.server.FheServer` facade,
+  cross-job hoisted rotation coalescing, a submit queue bounded in
+  jobs) behind the :class:`~repro.service.server.FheServer` facade,
   plus the client-side :class:`~repro.service.server.TenantClient` SDK.
 * :mod:`repro.service.errors` / :mod:`repro.service.supervisor` — the
   failure taxonomy (transient vs terminal, job- vs tenant-scoped) and

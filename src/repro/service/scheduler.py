@@ -12,9 +12,7 @@ The serving pipeline for one job is
   The values derived from a plan — its BTS cycle estimate on INS-2
   (:class:`~repro.core.simulator.BtsSimulator`), its analytic noise
   profile and its window-plan keys — are memoized on its
-  :class:`~repro.runtime.planner.PlanEntry` and evicted with it.  A
-  program whose plan was evicted is priced at ``default_job_cost_s``
-  by its next submit, until it is admitted again.
+  :class:`~repro.runtime.planner.PlanEntry` and evicted with it.
 * **Cost admission** — jobs whose estimate exceeds ``max_job_seconds``
   are rejected before consuming worker time.
 * **Dispatch pipeline** — up to ``workers`` batch windows run at once;
@@ -30,9 +28,9 @@ The serving pipeline for one job is
   fails at job granularity; attempts run under supervision
   (:mod:`repro.service.supervisor`: priced deadlines, cooperative
   cancellation, jittered retries of transient errors); the submit
-  queue is bounded in jobs and priced seconds
-  (:class:`~repro.service.errors.Overloaded`), a per-tenant breaker
-  sheds failing tenants, and :meth:`RequestScheduler.health` shows it.
+  queue is bounded in jobs (:class:`~repro.service.errors.Overloaded`),
+  a per-tenant breaker sheds failing tenants, and
+  :meth:`RequestScheduler.health` shows it.
 * **One ledger** — every event is counted once, in the scheduler's
   metrics registry; ``stats()``, ``health()`` and the metrics gauges
   read it, and the live queue/breaker/memory state, back when asked.
@@ -65,8 +63,7 @@ from repro.obs.noise import NoiseTracker
 from repro.obs.trace import NULL_SPAN, Span, Tracer
 from repro.runtime.executor import execute, execute_subgraph
 from repro.runtime.ir import OpCode, Program
-from repro.runtime.planner import Plan, PlanCache, PlanEntry, \
-    PlannerConfig, plan_cache_key
+from repro.runtime.planner import Plan, PlanCache, PlanEntry, PlannerConfig
 from repro.runtime.window import merge_window, plan_keys
 from repro.service import wire
 from repro.service.errors import (
@@ -82,11 +79,9 @@ from repro.service.registry import KeyRegistry
 from repro.service.supervisor import BreakerConfig, CircuitBreaker, \
     SupervisionConfig, Supervisor
 
-#: Floor for the ``Overloaded.retry_after_s`` hint.  Both rejection axes
-#: can otherwise produce 0.0 — the job-count bound with
-#: ``max_queue_jobs=0`` (nothing queued yet) and the priced bound when
-#: every queued job cost 0 (``default_job_cost_s=0`` and admission off)
-#: — and a zero hint tells the client to hammer the scheduler.
+#: Floor for the ``Overloaded.retry_after_s`` hint.  With
+#: ``max_queue_jobs=0`` and no batch window the drain estimate is 0.0,
+#: and a zero hint tells the client to hammer the scheduler.
 _MIN_RETRY_AFTER_S = 0.01
 
 
@@ -100,10 +95,6 @@ class ServiceConfig:
     #: for more jobs before dispatching (bounds added latency; without
     #: it, batch composition races the submitters and sharing becomes
     #: timing-dependent)
-    coalesce: bool = True            #: cross-job sharing: one window
-    #: plan per tenant runs every value and rotation that jobs binding
-    #: a common input blob share, then seeds each job (byte-identical
-    #: to running every job on its own)
     optimize: bool = False           #: plan with rotate-reduce fusion
     #: (:mod:`repro.runtime.optimizer`).  Opt-in: a fused tree's one
     #: shared ModDown changes output bits at the noise level (the
@@ -117,13 +108,6 @@ class ServiceConfig:
     breaker: BreakerConfig = field(
         default_factory=BreakerConfig)      #: per-tenant shedding policy
     max_queue_jobs: int = 256        #: submit-queue bound (queued + running)
-    backlog_budget_s: float | None = 60.0  #: max queued simulator-priced
-    #: seconds before submits are rejected with ``Overloaded`` (None
-    #: disables the cost-aware half of backpressure; the job-count bound
-    #: always applies)
-    default_job_cost_s: float = 0.0  #: priced cost of a job whose
-    #: admission estimate is not cached (admission off, cold, or its
-    #: plan evicted from the plan cache)
     fault_plan: FaultPlan | None = None  #: deterministic fault injection
     # ----- observability ---------------------------------------------------
     tracer: Tracer | None = None     #: per-job trace spans (None: untraced)
@@ -189,9 +173,7 @@ class HealthSnapshot:
 
     queue_depth: int
     backlog_jobs: int
-    backlog_seconds: float
     max_queue_jobs: int
-    backlog_budget_s: float | None
     tenants: dict[str, TenantHealth]
     counters: dict[str, int]
     plan_cache: dict
@@ -208,7 +190,7 @@ class _Job:
 
     request: JobRequest
     future: asyncio.Future
-    cost: float = 0.0                #: priced seconds held against backlog
+    probe: bool = False              #: holds its tenant's half-open probe
     entry: PlanEntry | None = None   #: plan plus its derived values
     cache_hit: bool = False
     estimate: float | None = None    #: admission estimate (MISPRICE applied)
@@ -251,7 +233,6 @@ class RequestScheduler:
         # and the event loop alike; _stats_lock keeps it exact.
         self._stats_lock = threading.Lock()
         self._backlog_jobs = 0       #: queued + in-flight jobs
-        self._backlog_seconds = 0.0  #: their priced accelerator seconds
         # ----- observability ------------------------------------------------
         self.tracer = self.config.tracer
         # The private always-on registry is the job ledger: stats() and
@@ -302,9 +283,6 @@ class RequestScheduler:
                       read=lambda: {(): self._backlog()[0]})
         metrics.gauge("fhe_backlog_jobs", "queued + in-flight jobs",
                       read=lambda: {(): self._backlog()[1]})
-        metrics.gauge("fhe_backlog_seconds",
-                      "priced seconds held by the backlog",
-                      read=lambda: {(): self._backlog()[2]})
         metrics.gauge(
             "fhe_breaker_state",
             "per-tenant breaker (0 closed, 1 half-open, 2 open)",
@@ -376,7 +354,7 @@ class RequestScheduler:
         Raises :class:`SchedulerStopped` once :meth:`stop` has begun,
         :class:`CircuitOpen` while the tenant's breaker is shedding,
         and :class:`Overloaded` (with a retry-after hint) when the
-        bounded queue or its priced-seconds budget is full.
+        bounded queue is full.
         """
         if self._queue is None or self._stopping:
             raise SchedulerStopped(
@@ -388,47 +366,32 @@ class RequestScheduler:
             if not allowed:
                 self._m_jobs.inc(tenant=request.tenant, outcome="shed")
                 raise CircuitOpen(request.tenant, retry_after)
-        cost = self._priced_cost(request)
+        # no await since allow(): a half-open breaker gave this job the probe
+        probe = breaker is not None and breaker.state == "half_open"
         config = self.config
         with self._stats_lock:
-            over_jobs = self._backlog_jobs >= config.max_queue_jobs
-            over_cost = (config.backlog_budget_s is not None
-                         and self._backlog_jobs > 0
-                         and self._backlog_seconds + cost
-                         > config.backlog_budget_s)
-            if over_jobs or over_cost:
-                # Each axis that tripped contributes its own drain-time
-                # estimate: the job-count bound waits for at least one
-                # queued job to finish, the priced bound for the backlog
-                # seconds to drain.  The floor keeps the hint usable
-                # even when both estimates are 0 (zero batch window,
-                # unpriced jobs, or max_queue_jobs == 0).
-                hint = config.batch_window_s
-                if over_jobs:
-                    hint = max(hint, 0.05 * max(1, self._backlog_jobs))
-                if over_cost:
-                    hint = max(hint, self._backlog_seconds)
-                retry_after = max(hint / max(1, config.workers),
-                                  _MIN_RETRY_AFTER_S)
-                backlog = (f"{self._backlog_jobs} jobs / "
-                           f"{self._backlog_seconds:.4f} priced seconds "
-                           "queued")
-            else:
+            backlog = self._backlog_jobs
+            if backlog < config.max_queue_jobs:
                 self._backlog_jobs += 1
-                self._backlog_seconds += cost
-                retry_after = None
-        if retry_after is not None:
+        if backlog >= config.max_queue_jobs:
+            if probe:  # a refused probe never ran: free the slot
+                breaker.release_probe()
             self._m_jobs.inc(tenant=request.tenant, outcome="overloaded")
-            raise Overloaded(f"scheduler overloaded: {backlog}",
-                             retry_after_s=retry_after)
-        job = _Job(request=request, cost=cost,
+            # Wait for at least one queued job to finish; the floor
+            # keeps the hint usable with an empty queue and no window.
+            hint = max(config.batch_window_s, 0.05 * max(1, backlog))
+            raise Overloaded(
+                f"scheduler overloaded: {backlog} jobs queued",
+                retry_after_s=max(hint / max(1, config.workers),
+                                  _MIN_RETRY_AFTER_S))
+        job = _Job(request=request, probe=probe,
                    future=asyncio.get_running_loop().create_future())
         job.submitted_at = time.perf_counter()
         job.span = self._root_span(
             f"{request.tenant}/{request.program.name}", cat="job",
             tenant=request.tenant, program=request.program.name)
         job.queue_span = job.span.child("queue_wait", cat="sched")
-        self._journal("submitted", job, cost_s=round(cost, 6) or None)
+        self._journal("submitted", job)
         await self._queue.put(job)
         try:
             return await job.future
@@ -438,29 +401,12 @@ class RequestScheduler:
         finally:
             with self._stats_lock:
                 self._backlog_jobs -= 1
-                self._backlog_seconds -= job.cost
             job.span.end()
 
     def _root_span(self, name: str, **args) -> Span:
         """A root span, or NULL_SPAN (``self.tracer`` may change live)."""
         tracer = self.tracer
         return NULL_SPAN if tracer is None else tracer.span(name, **args)
-
-    def _priced_cost(self, request: JobRequest) -> float:
-        """Simulator-priced seconds a submit holds against the backlog.
-
-        Steady state this peeks at the plan entry's memoized estimate
-        (no LRU or hit-count change, no MISPRICE factor); cold or
-        evicted plans, and every job when admission is off, are held at
-        ``default_job_cost_s`` so the job-count bound still applies.
-        """
-        default = self.config.default_job_cost_s
-        if self.config.max_job_seconds is None:
-            return default
-        entry = self.plan_cache.entry(plan_cache_key(
-            request.program, self.planner_config, self.ring.params.digest))
-        estimate = None if entry is None else entry.derived.get("estimate")
-        return default if estimate is None else estimate
 
     def _breaker(self, tenant: str) -> CircuitBreaker:
         breaker = self._breakers.get(tenant)
@@ -480,7 +426,8 @@ class RequestScheduler:
         journal line.  ``result`` is the completed job's
         :class:`JobResult` or the exception failing it; a cancelled job
         (its submitter gave up while it queued) has no future left to
-        settle and says nothing about the tenant's health.
+        settle and says nothing about the tenant's health — if it held
+        the half-open probe, it frees the slot for the next submit.
         """
         tenant = job.request.tenant
         self._m_jobs.inc(tenant=tenant, outcome=kind)
@@ -498,6 +445,8 @@ class RequestScheduler:
             return
         if kind != "cancelled":
             self._breaker(tenant).record_failure()
+        elif job.probe:
+            self._breaker(tenant).release_probe()
         self._journal("failed", job, **journal)
         if result is not None:  # thread-safe: rejections run on a worker
             job.future.get_loop().call_soon_threadsafe(
@@ -629,8 +578,7 @@ class RequestScheduler:
             except Exception as exc:  # reject: surface to the submitter
                 self._settle(job, "rejected", exc, outcome="rejected",
                              error=type(exc).__name__)
-        if self.config.coalesce:
-            self._share(admitted, batch_span)
+        self._share(admitted, batch_span)
         batch_span.annotate(admitted=len(admitted))
         batch_span.end()
         return admitted
@@ -817,13 +765,13 @@ class RequestScheduler:
             "plan_cache": self.plan_cache.stats(),
         }
 
-    def _backlog(self) -> tuple[int, int, float]:
-        """``(queue_depth, backlog_jobs, backlog_seconds)``, read under
-        the lock (the first three :class:`HealthSnapshot` fields)."""
+    def _backlog(self) -> tuple[int, int]:
+        """``(queue_depth, backlog_jobs)``, read under the lock (the
+        first two :class:`HealthSnapshot` fields)."""
         queue = self._queue
         with self._stats_lock:
             return (0 if queue is None else queue.qsize(),
-                    self._backlog_jobs, self._backlog_seconds)
+                    self._backlog_jobs)
 
     def health(self) -> HealthSnapshot:
         """Degradation snapshot: queue, backlog, breakers, counters.
@@ -853,7 +801,6 @@ class RequestScheduler:
         return HealthSnapshot(
             *self._backlog(),
             max_queue_jobs=self.config.max_queue_jobs,
-            backlog_budget_s=self.config.backlog_budget_s,
             tenants=tenants,
             counters=counters,
             plan_cache=plan_cache,

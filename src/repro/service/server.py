@@ -115,9 +115,10 @@ class FheServer:
 
     def health(self) -> dict:
         """Degradation snapshot (see ``service/README.md``, Failure
-        model): queue depth, priced backlog seconds, per-tenant circuit
-        breaker states plus job counters, plan-cache and calibration
-        stats, and retry/timeout/shed counters — everything an operator
+        model): queue depth, queued + in-flight jobs against the
+        ``max_queue_jobs`` bound, per-tenant circuit breaker states
+        plus job counters, plan-cache and calibration stats, and
+        retry/timeout/shed counters — everything an operator
         needs to see *how* the server is degrading before it stops
         serving.  The ``numeric_health`` section (see
         ``service/README.md``, Numeric health) carries the noise axis:

@@ -107,6 +107,14 @@ class CircuitBreaker:
                 self._probing = True
             return True, 0.0
 
+    def release_probe(self) -> None:
+        """Free the half-open probe slot held by a job that never ran
+        (refused at submit, cancelled while queued): the next job
+        probes instead."""
+        with self._lock:
+            if self.state == "half_open":
+                self._probing = False
+
     def record_success(self) -> None:
         with self._lock:
             self.state = "closed"

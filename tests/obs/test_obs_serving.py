@@ -217,9 +217,8 @@ class TestTracedServing:
         assert snapshot.tenants["bob"].jobs_completed == 2
         health = server.health()
         # original dict shape preserved (the PR-6 contract)...
-        for key in ("queue_depth", "backlog_jobs", "backlog_seconds",
-                    "max_queue_jobs", "backlog_budget_s", "tenants",
-                    "counters", "registry"):
+        for key in ("queue_depth", "backlog_jobs", "max_queue_jobs",
+                    "tenants", "counters", "registry"):
             assert key in health
         assert health["counters"]["jobs_completed"] == 4
         assert health["tenants"]["alice"]["consecutive_failures"] == 0
@@ -513,7 +512,7 @@ class TestLedgersAgree:
         plan = FaultPlan([FaultSpec(FaultKind.CRASH, tenant="bob",
                                     program="bob-crash")], seed=11)
         server = make_server(ServiceConfig(
-            workers=1, max_queue_jobs=4, backlog_budget_s=None,
+            workers=1, max_queue_jobs=4,
             fault_plan=plan, events=JobJournal(sink),
             breaker=BreakerConfig(threshold=2, cooldown_s=60.0),
             supervision=SupervisionConfig(max_retries=0,

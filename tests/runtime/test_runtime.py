@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
+    ExecutionError,
     OpCode,
     PlannerConfig,
     PlanningError,
     Program,
+    execute,
     plan_program,
 )
+from tests.conftest import encrypt_message
 
 NOMINAL = 2.0 ** 40
 
@@ -191,6 +194,21 @@ class TestPlannerPasses:
             plan_program(prog, make_config())
         plan = plan_program(prog, make_config(bootstrap_level=3))
         assert plan.summary()["bootstrap"] == 1
+
+    def test_bootstrap_node_is_not_executable(self, small_ring,
+                                              small_evaluator, small_keys,
+                                              small_encoder):
+        # A planned BOOTSTRAP lowers to the simulator only; the executor
+        # refuses it instead of returning an unrefreshed ciphertext.
+        prog = Program(n_slots=8)
+        x = prog.input("x")
+        prog.output("y", x.bootstrap() * 0.5)
+        plan = plan_program(prog, PlannerConfig.from_ring(
+            small_ring, bootstrap_level=3))
+        ct = encrypt_message(small_keys, small_encoder,
+                             np.zeros(8, dtype=np.complex128))
+        with pytest.raises(ExecutionError, match="simulator only"):
+            execute(plan, small_evaluator, {"x": ct})
 
     def test_required_rotations_union(self):
         prog = Program(n_slots=8)

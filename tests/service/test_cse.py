@@ -4,7 +4,8 @@ A tenant's jobs in one batch window that bind a common input blob are
 merged into one window plan: every value two of them compute runs once,
 and every member is seeded with the same ciphertext objects, so sharing
 is byte-identical by construction.  The tests pin that equivalence
-against an independent (coalesce=False) run, and exercise the opt-in
+against running every job alone (``max_batch=1``: a window of one job
+shares nothing), and exercise the opt-in
 rotate-reduce fusion end to end through the server in both ModDown
 modes.
 """
@@ -62,15 +63,15 @@ class TestCrossJobCse:
         # randomness, so byte-comparison needs a shared input blob
         blob = make_client("alice", 11).encrypt_blob(VEC)
         outputs = {}
-        for cse in (True, False):
+        for max_batch in (8, 1):
             server, client = cse_server(
-                config=ServiceConfig(coalesce=cse, max_batch=8))
+                config=ServiceConfig(max_batch=max_batch))
             results = submit_identical(server, client, count=3,
                                        blob=blob)
-            assert all(r.cse_seeded == cse for r in results)
-            outputs[cse] = [r.outputs["out"] for r in results]
+            assert all(r.cse_seeded == (max_batch > 1) for r in results)
+            outputs[max_batch] = [r.outputs["out"] for r in results]
             server.shutdown()
-        assert outputs[True] == outputs[False]
+        assert outputs[8] == outputs[1]
 
     def test_distinct_inputs_are_not_seeded(self, cse_server):
         server, client = cse_server()
@@ -94,20 +95,20 @@ class TestCrossJobCse:
         blob = make_client("alice", 11).encrypt_blob(VEC)
         amounts = [(a, a + 1) for a in (1, 3, 5)]
         outputs = {}
-        for coalesce in (True, False):
+        for max_batch in (8, 1):
             server, client = cse_server(
-                config=ServiceConfig(coalesce=coalesce, max_batch=8))
+                config=ServiceConfig(max_batch=max_batch))
             results = server.serve([
                 JobRequest("alice", stencil_program(list(a), name=f"j{i}"),
                            {"x": blob}) for i, a in enumerate(amounts)])
-            assert all(r.cse_seeded == coalesce for r in results)
+            assert all(r.cse_seeded == (max_batch > 1) for r in results)
             for result, amts in zip(results, amounts):
                 got = client.decrypt_blob(result.outputs["out"])
                 ref = stencil_reference(VEC, list(amts))
                 assert np.max(np.abs(got - ref)) < 1e-6
-            outputs[coalesce] = [r.outputs["out"] for r in results]
+            outputs[max_batch] = [r.outputs["out"] for r in results]
             server.shutdown()
-        assert outputs[True] == outputs[False]
+        assert outputs[8] == outputs[1]
 
     def test_tenants_never_share_a_cse_group(self, make_server,
                                              make_client):
@@ -140,22 +141,21 @@ class TestServedFusion:
         blob = make_client("alice", 11).encrypt_blob(VEC)  # one blob
         amounts = [(1, 2)] * 2 + [(2, 3), (1, 3)]
         outputs = {}
-        for coalesce in (True, False):
+        for max_batch in (8, 1):
             server, client = cse_server(config=ServiceConfig(
-                optimize=True, coalesce=coalesce, max_batch=8,
-                batch_window_s=0.05))
+                optimize=True, max_batch=max_batch, batch_window_s=0.05))
             results = server.serve([
                 JobRequest("alice", stencil_program(list(a), name=f"j{i}"),
                            {"x": blob}) for i, a in enumerate(amounts)])
-            if coalesce:
+            if max_batch > 1:
                 assert any(r.cse_seeded for r in results)
             for result, amts in zip(results, amounts):
                 got = client.decrypt_blob(result.outputs["out"])
                 ref = stencil_reference(VEC, list(amts))
                 assert np.max(np.abs(got - ref)) < 1e-6
-            outputs[coalesce] = [r.outputs["out"] for r in results]
+            outputs[max_batch] = [r.outputs["out"] for r in results]
             server.shutdown()
-        assert outputs[True] == outputs[False]
+        assert outputs[8] == outputs[1]
 
     def test_single_moddown_fusion_decrypts_correctly(self, cse_server):
         server, client = cse_server(config=ServiceConfig(
@@ -171,7 +171,7 @@ class TestServedFusion:
 
     def test_fusion_composes_with_cse(self, cse_server):
         server, client = cse_server(config=ServiceConfig(
-            optimize=True, coalesce=True, max_batch=8))
+            optimize=True, max_batch=8))
         results = submit_identical(server, client, count=3)
         assert all(r.cse_seeded for r in results)
         assert server.scheduler.stats()["cse_reuses"] == 2
@@ -200,14 +200,14 @@ class TestWindowPlan:
         blob = make_client("alice", 11).encrypt_blob(VEC)
         amounts = [(1, 2)] * 4 + [(2, 3), (4, 5), (1, 6)]
         outputs = {}
-        for coalesce in (True, False):
+        for max_batch in (8, 1):
             server, client = cse_server(config=ServiceConfig(
-                coalesce=coalesce, max_batch=8, batch_window_s=0.05))
+                max_batch=max_batch, batch_window_s=0.05))
             raises.clear()
             results = server.serve([
                 JobRequest("alice", stencil_program(list(a), name=f"j{i}"),
                            {"x": blob}) for i, a in enumerate(amounts)])
-            if coalesce:
+            if max_batch > 1:
                 assert len(raises) == 1
                 assert all(r.coalesced and r.cse_seeded for r in results)
                 stats = server.scheduler.stats()
@@ -219,6 +219,6 @@ class TestWindowPlan:
                 got = client.decrypt_blob(result.outputs["out"])
                 ref = stencil_reference(VEC, list(amts))
                 assert np.max(np.abs(got - ref)) < 1e-6
-            outputs[coalesce] = [r.outputs["out"] for r in results]
+            outputs[max_batch] = [r.outputs["out"] for r in results]
             server.shutdown()
-        assert outputs[True] == outputs[False]
+        assert outputs[8] == outputs[1]

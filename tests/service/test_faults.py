@@ -376,6 +376,20 @@ class TestCircuitBreaker:
         clock.now = 10.0  # 4s into the fresh cooldown
         assert breaker.allow()[0] is False
 
+    def test_released_probe_lets_the_next_job_probe(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(BreakerConfig(threshold=1,
+                                               cooldown_s=5.0), clock)
+        breaker.record_failure()
+        breaker.release_probe()  # no probe out: nothing to free
+        assert breaker.allow()[0] is False
+        clock.now = 6.0
+        assert breaker.allow() == (True, 0.0)     # the probe ...
+        breaker.release_probe()                   # ... never ran
+        assert breaker.allow() == (True, 0.0)     # the next one probes
+        assert breaker.allow()[0] is False
+        assert breaker.state == "half_open"
+
 
 # ----- unit: cooperative executor cancellation --------------------------------
 
@@ -713,7 +727,7 @@ class TestMisprice:
 class TestOverload:
     def test_queue_bound_sheds_with_retry_hint(self, faulted_setup):
         server, client = faulted_setup(ServiceConfig(
-            workers=1, max_queue_jobs=2, backlog_budget_s=None,
+            workers=1, max_queue_jobs=2,
             supervision=quick_supervision()))
         blob = client.encrypt_blob(np.zeros(8))
         requests = [JobRequest("alice", stencil_program([1], f"o{i}"),
@@ -737,45 +751,13 @@ class TestOverload:
         assert all(o.retry_after_s > 0 for o in overloaded)
         assert server.scheduler.stats()["jobs_overloaded"] == 4
 
-    def test_cost_aware_backpressure_uses_priced_seconds(
-            self, faulted_setup):
-        server, client = faulted_setup(ServiceConfig(
-            workers=1, max_job_seconds=10.0,
-            supervision=quick_supervision()))
-        blob = client.encrypt_blob(np.zeros(8))
-        request = JobRequest("alice", stencil_program([1, 2]),
-                             {"x": blob})
-        [warm] = serve(server, [request])  # caches the estimate
-        estimate = warm.estimated_seconds
-        assert estimate and estimate > 0
-        # Budget fits one priced job: the second concurrent submit of
-        # the same program must be shed on priced seconds alone.
-        server.scheduler.config.backlog_budget_s = estimate * 1.5
-
-        async def two():
-            server.scheduler.start()
-            try:
-                tasks = [asyncio.ensure_future(
-                    server.scheduler.submit(request)) for _ in range(2)]
-                return await asyncio.gather(*tasks,
-                                            return_exceptions=True)
-            finally:
-                await server.scheduler.stop()
-
-        first, second = asyncio.run(two())
-        assert not isinstance(first, Exception)
-        assert isinstance(second, Overloaded)
-        assert "priced seconds" in str(second)
-        # the priced axis must also yield a usable hint
-        assert second.retry_after_s > 0
-
     def test_retry_hint_usable_on_degenerate_job_axis(self, faulted_setup):
         # max_queue_jobs=0 rejects with an *empty* queue; with a zero
         # batch window every drain-time estimate is 0, so only the hint
         # floor keeps retry_after_s usable.
         server, client = faulted_setup(ServiceConfig(
             workers=4, max_queue_jobs=0, batch_window_s=0.0,
-            backlog_budget_s=None, supervision=quick_supervision()))
+            supervision=quick_supervision()))
         req = JobRequest("alice", stencil_program([1]),
                          {"x": client.encrypt_blob(np.zeros(8))})
 
@@ -790,34 +772,6 @@ class TestOverload:
         [shed] = asyncio.run(one())
         assert isinstance(shed, Overloaded)
         assert shed.retry_after_s > 0
-
-    def test_retry_hint_usable_on_degenerate_cost_axis(self, faulted_setup):
-        # A nearly-unpriced backlog (nanosecond default cost, zero batch
-        # window) trips the priced bound with a drain estimate of ~0;
-        # the hint must still come back strictly positive.
-        server, client = faulted_setup(ServiceConfig(
-            workers=1, max_queue_jobs=256, batch_window_s=0.0,
-            backlog_budget_s=1e-12, default_job_cost_s=1e-9,
-            supervision=quick_supervision()))
-        blob = client.encrypt_blob(np.zeros(8))
-        requests = [JobRequest("alice", stencil_program([1], f"o{i}"),
-                               {"x": blob}) for i in range(2)]
-
-        async def two():
-            server.scheduler.start()
-            try:
-                tasks = [asyncio.ensure_future(
-                    server.scheduler.submit(r)) for r in requests]
-                return await asyncio.gather(*tasks,
-                                            return_exceptions=True)
-            finally:
-                await server.scheduler.stop()
-
-        first, second = asyncio.run(two())
-        assert not isinstance(first, Exception)
-        assert isinstance(second, Overloaded)
-        assert "priced seconds" in str(second)
-        assert second.retry_after_s > 0
 
 
 class TestCircuitBreakerServing:
@@ -877,6 +831,80 @@ class TestCircuitBreakerServing:
         got = client.decrypt_blob(probe.outputs["out"])
         assert np.max(np.abs(got - stencil_reference(vec, [1, 2]))) < 1e-6
         assert server.health()["tenants"]["alice"]["state"] == "closed"
+        server.shutdown()
+
+    def _half_open_server(self, make_server, make_client, **config):
+        """alice's breaker tripped and cooled down: her next submit is
+        handed the half-open probe slot."""
+        server = make_server(config=ServiceConfig(
+            supervision=quick_supervision(),
+            breaker=BreakerConfig(threshold=1, cooldown_s=0.05), **config))
+        alice = make_client("alice", 11)
+        server.open_session("alice")
+        server.register_keys("alice", relin=alice.relin_blob(),
+                             galois=alice.galois_blob({1, 2}))
+        [bad] = serve(server, [self._failing_request(alice)])
+        assert isinstance(bad, AdmissionError)
+        time.sleep(0.1)
+        vec = np.full(8, 0.2)
+        good = JobRequest("alice", stencil_program([1, 2], "good"),
+                          {"x": alice.encrypt_blob(vec)})
+        return server, alice, good, vec
+
+    def _probe_recovers(self, server, client, good, vec):
+        """The next submit probes, completes and closes the breaker."""
+        [probe] = serve(server, [good])
+        assert not isinstance(probe, Exception), probe
+        got = client.decrypt_blob(probe.outputs["out"])
+        assert np.max(np.abs(got - stencil_reference(vec, [1, 2]))) < 1e-6
+        assert server.health()["tenants"]["alice"]["state"] == "closed"
+
+    def test_refused_probe_frees_the_half_open_slot(self, make_server,
+                                                     make_client):
+        server, client, good, vec = self._half_open_server(
+            make_server, make_client, workers=1)
+        server.scheduler.config.max_queue_jobs = 0
+        [refused] = serve(server, [good])  # took the probe slot, then shed
+        assert isinstance(refused, Overloaded)
+        assert server.health()["tenants"]["alice"]["state"] == "half_open"
+        server.scheduler.config.max_queue_jobs = 256
+        self._probe_recovers(server, client, good, vec)
+        server.shutdown()
+
+    def test_cancelled_probe_frees_the_half_open_slot(self, make_server,
+                                                       make_client):
+        # bob's stalled job holds the only worker while alice's probe
+        # queues behind it; alice's submitter then gives up.
+        plan = FaultPlan([FaultSpec(FaultKind.STALL, tenant="bob",
+                                    stall_s=0.3)], seed=5)
+        server, client, good, vec = self._half_open_server(
+            make_server, make_client, workers=1, max_batch=1,
+            fault_plan=plan)
+        bob = make_client("bob", 22)
+        server.open_session("bob")
+        server.register_keys("bob", galois=bob.galois_blob({1}))
+        slow = JobRequest("bob", stencil_program([1], "slow"),
+                          {"x": bob.encrypt_blob(np.zeros(8))})
+
+        async def run():
+            server.scheduler.start()
+            try:
+                first = asyncio.ensure_future(server.scheduler.submit(slow))
+                await asyncio.sleep(0.05)  # slow holds the worker
+                probe = asyncio.ensure_future(server.scheduler.submit(good))
+                await asyncio.sleep(0.05)
+                probe.cancel()
+                return await asyncio.gather(first, probe,
+                                            return_exceptions=True)
+            finally:
+                await server.scheduler.stop()
+
+        done, cancelled = asyncio.run(run())
+        assert done.outputs["out"]
+        assert isinstance(cancelled, asyncio.CancelledError)
+        assert 'fhe_jobs_total{tenant="alice",outcome="cancelled"} 1' \
+            in server.metrics_text()
+        self._probe_recovers(server, client, good, vec)
         server.shutdown()
 
 
@@ -1041,8 +1069,7 @@ class TestStatsConcurrency:
     def test_counters_are_exact_for_a_32_job_run(self, make_server,
                                                  make_client):
         server = make_server(config=ServiceConfig(
-            workers=4, max_batch=8, coalesce=False,
-            supervision=quick_supervision()))
+            workers=4, max_batch=8, supervision=quick_supervision()))
         client = make_client("alice", 11)
         server.open_session("alice")
         server.register_keys("alice", relin=client.relin_blob(),
@@ -1064,7 +1091,6 @@ class TestStatsConcurrency:
         assert supervisor["successes"] == 32
         health = server.health()
         assert health["backlog_jobs"] == 0
-        assert health["backlog_seconds"] == pytest.approx(0.0)
         assert health["counters"]["jobs_completed"] == 32
         server.shutdown()
 
@@ -1085,9 +1111,8 @@ class TestHealth:
         serve(server, requests[1:2])
         serve(server, requests[::2])
         health = server.health()
-        for key in ("queue_depth", "backlog_jobs", "backlog_seconds",
-                    "max_queue_jobs", "backlog_budget_s", "tenants",
-                    "counters", "registry"):
+        for key in ("queue_depth", "backlog_jobs", "max_queue_jobs",
+                    "tenants", "counters", "registry"):
             assert key in health, key
         counters = health["counters"]
         assert counters["jobs_completed"] == 2

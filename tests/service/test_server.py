@@ -2,20 +2,18 @@
 
 The load-bearing invariant: because hoisted galois is bit-identical to
 sequential galois, the scheduler's cross-job sharing must produce
-*byte-identical* result blobs with sharing on and off — sharing is a
-pure scheduling win, never a numerics change.
+*byte-identical* result blobs to running every job alone
+(``max_batch=1``) — sharing is a pure scheduling win, never a numerics
+change.
 """
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
 
-from repro.obs.events import JobJournal, read_journal
-from repro.runtime import OpCode, PlanCache, PlannerConfig, Program, \
-    plan_cache_key, plan_program, structural_hash
+from repro.runtime import OpCode, PlanCache, PlannerConfig, PlanningError, \
+    Program, plan_cache_key, plan_program, structural_hash
 from repro.service import AdmissionError, JobRequest, ServiceConfig
 
 
@@ -139,10 +137,7 @@ class TestDerivedPlanState:
 
     def test_derived_state_is_bounded_by_the_plan_cache(
             self, make_server, make_client):
-        sink = io.StringIO()
-        server = make_server(config=ServiceConfig(
-            max_job_seconds=10.0, default_job_cost_s=7.0,
-            events=JobJournal(sink)))
+        server = make_server(config=ServiceConfig(max_job_seconds=10.0))
         client = make_client("alice", 11)
         server.open_session("alice", client.hello_blob())
         server.register_keys("alice", relin=client.relin_blob(),
@@ -160,32 +155,24 @@ class TestDerivedPlanState:
         keys = [plan_cache_key(prog, scheduler.planner_config,
                                server.ring.params.digest)
                 for prog in programs]
-        assert [k for k in keys if cache.entry(k)] == keys[-2:]
-        for key in keys[-2:]:
-            assert set(cache.entry(key).derived) \
-                == {"estimate", "noise", "keys"}
+        derived = {name: cache.derived_view(name)
+                   for name in ("estimate", "noise", "keys")}
+        for view in derived.values():
+            assert [key for key, _ in view.items()] == keys[-2:]
         for name, value in vars(scheduler).items():
             if isinstance(value, dict):  # no sidecar keyed by plan
                 assert not set(value) & set(keys), name
 
-        # The evicted program: priced at the default by its submit,
-        # then re-planned, re-estimated and re-profiled on admission.
+        # The evicted program is re-planned, re-estimated and
+        # re-profiled on admission.
         again = server.serve([JobRequest("alice", programs[0],
                                          {"x": blob})])[0]
-        entry = cache.entry(keys[0])
         assert not again.plan_cache_hit
-        assert set(entry.derived) >= {"estimate", "noise"}
-        assert again.estimated_seconds == entry.derived["estimate"] \
+        assert derived["noise"].get(keys[0]) is not None
+        assert again.estimated_seconds == derived["estimate"].get(keys[0]) \
             == first["p1"].estimated_seconds
         assert again.headroom_bits == first["p1"].headroom_bits
         assert again.outputs == first["p1"].outputs
-        # A resident program's next submit is priced at its estimate.
-        server.serve([JobRequest("alice", programs[0], {"x": blob})])
-        costs = [r.get("cost_s") for r in read_journal(
-                     io.StringIO(sink.getvalue()))
-                 if r["event"] == "submitted" and r["program"] == "p1"]
-        assert costs == [7.0, 7.0, 7.0,
-                         round(entry.derived["estimate"], 6) or None]
         server.shutdown()
 
 
@@ -250,6 +237,33 @@ class TestAdmission:
         assert "conjugation" in str(result)
         server.shutdown()
 
+    @pytest.mark.parametrize("shape", ["bootstrap", "too_deep"])
+    def test_unplannable_program_rejected_before_any_attempt(
+            self, shape, make_server, make_client):
+        """The ring's planner config has no bootstrap level: a served
+        ``.bootstrap()`` and a program deeper than the ring both fail
+        planning, and are rejected without a supervised attempt."""
+        server = make_server()
+        client = make_client("alice", 11)
+        server.open_session("alice")
+        server.register_keys("alice", relin=client.relin_blob())
+        prog = Program(n_slots=8, name=shape)
+        y = x = prog.input("x")
+        if shape == "bootstrap":
+            y = x.bootstrap()
+        else:
+            for _ in range(server.ring.params.l + 2):
+                y = y * y
+        prog.output("out", y)
+        req = JobRequest("alice", prog,
+                         {"x": client.encrypt_blob(np.zeros(8))})
+        [result] = server.serve([req], return_exceptions=True)
+        assert isinstance(result, PlanningError)
+        assert server.scheduler.stats()["jobs_rejected"] == 1
+        assert server.health()["tenants"]["alice"]["jobs_rejected"] == 1
+        assert server.scheduler.supervisor.stats()["attempts"] == 0
+        server.shutdown()
+
 
 class TestBatching:
     def _submit_window(self, server, client, programs, vec):
@@ -266,18 +280,18 @@ class TestBatching:
         client = make_client("alice", 11)
         blob = client.encrypt_blob(vec)  # one blob for both runs
         outputs = {}
-        for coalesce in (True, False):
+        for max_batch in (8, 1):  # a window of one job shares nothing
             server = make_server(
-                config=ServiceConfig(coalesce=coalesce, max_batch=8))
+                config=ServiceConfig(max_batch=max_batch))
             server.open_session("alice")
             server.register_keys("alice", relin=client.relin_blob(),
                                  galois=client.galois_blob(range(1, 8)))
             results = server.serve([JobRequest("alice", prog, {"x": blob})
                                     for prog in programs])
-            assert all(r.coalesced == coalesce for r in results)
-            outputs[coalesce] = [r.outputs["out"] for r in results]
+            assert all(r.coalesced == (max_batch > 1) for r in results)
+            outputs[max_batch] = [r.outputs["out"] for r in results]
             server.shutdown()
-        assert outputs[True] == outputs[False]  # byte-for-byte equal
+        assert outputs[8] == outputs[1]  # byte-for-byte equal
 
     def test_coalesced_batch_decrypts_correctly(self, ready_server):
         server, client = ready_server
@@ -360,7 +374,7 @@ class TestConcurrentExecution:
     def test_parallel_jobs_all_decrypt_correctly(self, make_server,
                                                  make_client):
         server = make_server(
-            config=ServiceConfig(workers=4, max_batch=8, coalesce=False))
+            config=ServiceConfig(workers=4, max_batch=8))
         client = make_client("alice", 11)
         server.open_session("alice")
         server.register_keys("alice", relin=client.relin_blob(),

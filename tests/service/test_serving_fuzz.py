@@ -1,7 +1,8 @@
 """Randomized serving tier: knobs x faults, five invariants per example.
 
-Hypothesis draws the scheduler knobs (``coalesce``, ``optimize``,
-``workers`` in {1, 2, 3}, ``max_batch``, admission on/off), a batch of
+Hypothesis draws the scheduler knobs (``optimize``, ``workers`` in
+{1, 2, 3}, ``max_batch`` — 1, the no-sharing reference, half the
+time — and admission on/off), a batch of
 jobs — each with its own program name, its own rotation amount, a drawn
 share of two common rotation amounts, an optional HMult, and one of two
 input blobs — and a :class:`FaultPlan` of up to three faults aimed at
@@ -113,8 +114,7 @@ def serving_cases(draw):
             amounts=(3 + target,)))
     config = ServiceConfig(
         workers=draw(st.integers(1, 3)),
-        max_batch=draw(st.integers(1, 6)),
-        coalesce=draw(st.booleans()),
+        max_batch=draw(st.one_of(st.just(1), st.integers(2, 6))),
         optimize=draw(st.booleans()),
         max_job_seconds=draw(st.sampled_from([None, 10.0])),
         supervision=SupervisionConfig(
