@@ -345,6 +345,21 @@ def bench_service(ring, reps: int
     return out, calibration, scaling
 
 
+def bench_native_crossing(reps: int) -> dict:
+    """Median microseconds of a one-element ``mul_mod``, ungated.
+
+    The arithmetic is one word, so this is the per-call cost of getting
+    into and out of the modmath kernel: dispatch plus, on the native
+    backend, the array-to-C crossing.
+    """
+    from repro.ckks.modmath import Modulus, mul_mod
+
+    m = Modulus((1 << 59) + 55)
+    a = np.array([7], dtype=np.uint64)
+    median = _median_seconds(lambda: mul_mod(a, a, m), reps, warmup=100)
+    return {"median_us": round(median * 1e6, 2), "reps": reps}
+
+
 def bench_precision_calibration(ring, kg, ev, smoke: bool) -> dict:
     """Decrypt-probe calibration: analytic estimate vs true slot error.
 
@@ -635,6 +650,7 @@ def main() -> None:
     service_kernels, service_calibration, worker_scaling = bench_service(
         ring, max(1, reps if args.smoke else reps // 2))
     kernels.update(service_kernels)
+    native_crossing = bench_native_crossing(500 if args.smoke else 2000)
     precision_calibration = bench_precision_calibration(
         ring, kg, ev, smoke=args.smoke)
     if not args.smoke:
@@ -669,6 +685,9 @@ def main() -> None:
         # served jobs/s of one unbatched 8-job window at 1, 2 and 4 pool
         # workers (the GIL is released only inside native kernels)
         "worker_scaling": worker_scaling,
+        # median microseconds of a one-element mul_mod: the fixed cost
+        # of one modmath call (a native crossing under the native backend)
+        "native_crossing": native_crossing,
         # actual/estimate ratio stats per plan for the batched-throughput
         # server (admission pricing on): the simulator-to-host gap the
         # serving deadline multiplier must absorb, stamped per run.

@@ -21,8 +21,10 @@ arithmetic inside their own loops.
 
 Backend selection is owned by :mod:`repro.ckks.modmath` (the
 ``REPRO_MODMATH_BACKEND`` env var / :func:`~repro.ckks.modmath.set_backend`);
-this module only answers "can a working library be produced, and hand me
-its handle".
+this module answers "can a working library be produced, and hand me its
+handle".  It also owns the crossing: :meth:`_Handle.ptr` and
+:meth:`_Handle.call_strided` are the only code that turns NumPy arrays
+into C pointers, dims and strides.
 
 Build products are content-addressed: the shared object's filename
 embeds a hash of the C source plus the ABI version, so editing the
@@ -46,9 +48,14 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
+
 #: Must match NM_ABI_VERSION in modmath_native.c; bump both when the
 #: kernel set or any signature changes.
 ABI_VERSION = 5
+
+#: Must match NM_MAX_NDIM: the strided kernels refuse deeper shapes.
+MAX_NDIM = 8
 
 _SRC = Path(__file__).with_name("modmath_native.c")
 
@@ -237,13 +244,53 @@ def _load_impl(build_if_missing: bool):
 
 
 class _Handle:
-    """The loaded library plus its ffi (kept together for casts)."""
+    """The loaded library, and the one path from NumPy arrays into it."""
 
     __slots__ = ("ffi", "lib")
 
     def __init__(self, ffi, lib) -> None:
         self.ffi = ffi
         self.lib = lib
+
+    def ptr(self, arr: np.ndarray, ctype: str = "uint64_t *"):
+        """``arr``'s first element as a ``ctype`` pointer, without a copy.
+
+        The pointer does not own the memory: the caller keeps ``arr``
+        alive for as long as C may use it, and passes a C-contiguous
+        ``uint64`` array to a kernel that reads a flat matrix.
+        """
+        return self.ffi.cast(ctype, arr.__array_interface__["data"][0])
+
+    def call_strided(self, kernel: str, out: np.ndarray,
+                     operands) -> None:
+        """Run the element-wise ``kernel`` over ``out``'s shape.
+
+        Each operand crosses as a pointer plus its byte strides broadcast
+        to that shape (0 on an axis it lacks or holds at size 1), so any
+        NumPy view works without a copy; dims and all strides share one
+        buffer.  A 0-d ``out`` is one element.  A size mismatch raises
+        before C could read past an operand.
+        """
+        shape = out.shape or (1,)
+        ndim = len(shape)
+        if ndim > MAX_NDIM:
+            raise ValueError(f"{kernel}: {ndim} dims > {MAX_NDIM}")
+        # scalars become 0-d arrays, held here until the call returns
+        arrays = [out, *map(np.asarray, operands)]
+        words = list(shape)
+        for arr in arrays:
+            lead = ndim - arr.ndim
+            if lead < 0 or any(size not in (dim, 1)
+                               for size, dim in zip(arr.shape, shape[lead:])):
+                raise ValueError(f"{kernel}: cannot broadcast {arr.shape} "
+                                 f"to {shape}")
+            words += [0] * lead + [stride if size > 1 else 0 for size, stride
+                                   in zip(arr.shape, arr.strides)]
+        packed = self.ffi.new("int64_t[]", words)
+        args = [ndim, packed]
+        for i, arr in enumerate(arrays, start=1):
+            args += [self.ptr(arr, "char *"), packed + i * ndim]
+        getattr(self.lib, kernel)(*args)
 
 
 def reset_for_tests() -> None:

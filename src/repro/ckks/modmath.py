@@ -31,15 +31,17 @@ do that arithmetic inside their own C loops):
   per kernel.  Exact, so outputs are bit-identical to the NumPy path.
 
 Selection: ``REPRO_MODMATH_BACKEND`` = ``native`` | ``numpy`` | ``auto``
-(default).  ``auto`` prefers the native library and silently falls back
-to NumPy when it cannot be built or loaded; ``native`` falls back too
-but warns, so CI can also make the build a hard step; ``numpy`` disables
-dispatch entirely.  :func:`set_backend` overrides the env var at
-runtime (tests use this to run the differential tiers under both
-backends in one process).  Because every kernel funnels through these
-functions, the evk products, scalar multiplies and Shoup multiplies
-inherit the selected backend with no call-site changes; the NTT engine
-and BConv pick their whole-kernel native entry from the same selection.
+(default; so is an unknown value).  ``auto`` prefers the native library
+and silently falls back to NumPy when it cannot be built or loaded;
+``native`` falls back too but warns, so CI can also make the build a
+hard step; ``numpy`` disables dispatch entirely.  The env var is read at
+import and by ``set_backend(None)``, never per call; :func:`set_backend`
+also overrides it at runtime (tests use this to run the differential
+tiers under both backends in one process).  Because every kernel funnels
+through these functions, the evk products, scalar multiplies and Shoup
+multiplies inherit the selected backend with no call-site changes; the
+NTT engine and BConv pick their whole-kernel native entry from the same
+selection.
 
 Performance notes (limb-batched layout)
 ---------------------------------------
@@ -141,40 +143,20 @@ def workspace_buffer(tag: str, shape: tuple[int, ...],
 
 _BACKEND_ENV = "REPRO_MODMATH_BACKEND"
 _VALID_BACKENDS = ("auto", "native", "numpy")
-_forced_backend: str | None = None
-_warned_native_missing = False
 
-#: Kernels refuse shapes deeper than this (mirrors NM_MAX_NDIM in C).
-_NATIVE_MAX_NDIM = 8
-
-
-def _requested_backend() -> str:
-    """The selection in force: ``set_backend`` override, else the env var."""
-    if _forced_backend is not None:
-        return _forced_backend
-    value = os.environ.get(_BACKEND_ENV, "auto").strip().lower() or "auto"
-    return value if value in _VALID_BACKENDS else "auto"
+#: The native library handle every dispatch uses (``None``: NumPy), set
+#: only by :func:`set_backend`.
+_handle = None
 
 
 def _active_native():
-    """The native library handle when dispatch should use it, else None."""
-    global _warned_native_missing
-    mode = _requested_backend()
-    if mode == "numpy":
-        return None
-    handle = _native_backend.load()
-    if handle is None and mode == "native" and not _warned_native_missing:
-        _warned_native_missing = True
-        warnings.warn(
-            f"{_BACKEND_ENV}=native requested but the extension is "
-            f"unavailable ({_native_backend.load_error()}); falling back "
-            "to the NumPy backend", RuntimeWarning, stacklevel=3)
-    return handle
+    """The native library handle when dispatch uses it, else None."""
+    return _handle
 
 
 def active_backend() -> str:
     """The backend the next kernel call will actually use."""
-    return "native" if _active_native() is not None else "numpy"
+    return "numpy" if _handle is None else "native"
 
 
 def available_backends() -> tuple[str, ...]:
@@ -184,57 +166,52 @@ def available_backends() -> tuple[str, ...]:
 
 
 def set_backend(name: str | None) -> str:
-    """Override backend selection at runtime; returns the active backend.
+    """Select the backend for every later call; returns the active one.
 
-    ``"auto"``/``None`` restores env-var-driven selection, ``"numpy"``
-    disables native dispatch, ``"native"`` requires the extension and
-    raises ``RuntimeError`` when it cannot be loaded (unlike the env
-    var, which only warns — a programmatic request is a test or a
-    deployment assertion, so failing loud is the point).
+    ``"auto"``/``None`` re-reads ``REPRO_MODMATH_BACKEND`` (an unknown
+    value there means ``auto``), ``"numpy"`` disables native dispatch,
+    ``"native"`` requires the extension and raises ``RuntimeError`` when
+    it cannot be loaded (unlike the env var, which only warns — a
+    programmatic request is a test or a deployment assertion, so
+    failing loud is the point).
     """
-    global _forced_backend
-    if name is None:
-        name = "auto"
-    if name not in _VALID_BACKENDS:
+    global _handle
+    if name not in (None, *_VALID_BACKENDS):
         raise ValueError(f"unknown backend {name!r}; "
                          f"expected one of {_VALID_BACKENDS}")
-    if name == "native" and _native_backend.load() is None:
-        raise RuntimeError("native modmath backend unavailable: "
-                           f"{_native_backend.load_error()}")
-    _forced_backend = None if name == "auto" else name
+    mode = (os.environ.get(_BACKEND_ENV, "").strip().lower()
+            if name in (None, "auto") else name)
+    handle = None if mode == "numpy" else _native_backend.load()
+    if handle is None and mode == "native":
+        why = _native_backend.load_error()
+        if name == "native":
+            raise RuntimeError(f"native modmath backend unavailable: {why}")
+        warnings.warn(f"{_BACKEND_ENV}=native requested but the extension "
+                      f"is unavailable ({why}); falling back to the NumPy "
+                      "backend", RuntimeWarning, stacklevel=2)
+    _handle = handle
     return active_backend()
 
 
-def _native_ok(out: np.ndarray) -> bool:
-    return 1 <= out.ndim <= _NATIVE_MAX_NDIM and out.dtype == np.uint64
+set_backend(None)
 
 
-def _nm_call(handle, fname: str, out: np.ndarray, in_arrays) -> None:
-    """Invoke a strided native kernel over ``out.shape``.
+def _dispatch(kernel: str, out: np.ndarray | None, operands
+              ) -> tuple[np.ndarray, bool]:
+    """``(out, done)``: ``out`` filled by the native ``kernel`` if active.
 
-    Every input is broadcast to the output shape (broadcast axes get
-    stride 0) and passed as a ``(pointer, byte-strides)`` pair, so any
-    NumPy view — column constants, tiled planes, transposed slabs —
-    works without a copy.  ``keep`` pins the views and stride buffers
-    for the duration of the call.
+    ``out`` defaults to a fresh array over the operands' broadcast shape,
+    allocated before the backend split so both routes fill the same
+    array; when ``done`` is false the caller's NumPy body fills it.
     """
-    ffi = handle.ffi
-    shape = out.shape
-    dims = np.asarray(shape, dtype=np.int64)
-    st = np.asarray(out.strides, dtype=np.int64)
-    keep = [dims, out, st]
-    args = [len(shape), ffi.cast("const int64_t *", dims.ctypes.data),
-            ffi.cast("char *", out.ctypes.data),
-            ffi.cast("const int64_t *", st.ctypes.data)]
-    for arr in in_arrays:
-        view = arr if getattr(arr, "shape", None) == shape \
-            else np.broadcast_to(arr, shape)
-        st = np.asarray(view.strides, dtype=np.int64)
-        keep += [view, st]
-        args += [ffi.cast("const char *", view.ctypes.data),
-                 ffi.cast("const int64_t *", st.ctypes.data)]
-    getattr(handle.lib, fname)(*args)
-    del keep
+    if out is None:
+        out = np.empty(np.broadcast_shapes(*map(np.shape, operands)),
+                       np.uint64)
+    if (_handle is not None and out.dtype == np.uint64
+            and out.ndim <= _native_backend.MAX_NDIM):
+        _handle.call_strided(kernel, out, operands)
+        return out, True
+    return out, False
 
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
@@ -511,14 +488,9 @@ def mul_mod(a: np.ndarray, b: np.ndarray, m: Modulus | ModulusVector,
     """
     a = _as_u64(a)
     b = _as_u64(b)
-    h = _active_native()
-    if h is not None:
-        nshape = np.broadcast_shapes(a.shape, b.shape, np.shape(m.u64))
-        if out is None:
-            out = np.empty(nshape, np.uint64)
-        if _native_ok(out):
-            _nm_call(h, "nm_mul_mod", out, (a, b, m.u64, m.mu_single))
-            return out
+    out, done = _dispatch("nm_mul_mod", out, (a, b, m.u64, m.mu_single))
+    if done:
+        return out
     shape = np.broadcast_shapes(a.shape, b.shape)
     hi, lo = mul128(a, b, out_hi=_ws.get("mul_mod.hi", shape),
                     out_lo=_ws.get("mul_mod.lo", shape))
@@ -564,20 +536,11 @@ def mul_mod_add(acc: np.ndarray, a: np.ndarray, b: np.ndarray,
     acc = _as_u64(acc)
     a = _as_u64(a)
     b = _as_u64(b)
-    h = _active_native()
-    if h is not None:
-        shape = np.broadcast_shapes(acc.shape, a.shape, b.shape,
-                                    np.shape(m.u64))
-        if out is None:
-            out = np.empty(shape, np.uint64)
-        if _native_ok(out):
-            _nm_call(h, "nm_mul_mod_add", out,
-                     (acc, a, b, m.u64, m.mu_single))
-            return out
-    prod = mul_mod(a, b, m,
-                   out=_ws.get("mma.prod",
-                               np.broadcast_shapes(a.shape, b.shape,
-                                                   np.shape(m.u64))))
+    out, done = _dispatch("nm_mul_mod_add", out,
+                          (acc, a, b, m.u64, m.mu_single))
+    if done:
+        return out
+    prod = mul_mod(a, b, m, out=_ws.get("mma.prod", out.shape))
     return add_mod(acc, prod, m, out=out)
 
 
@@ -649,15 +612,9 @@ def mul_mod_shoup(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
     a = _as_u64(a)
     w = _as_u64(w)
     w_shoup = _as_u64(w_shoup)
-    h = _active_native()
-    if h is not None:
-        shape = np.broadcast_shapes(a.shape, w.shape, w_shoup.shape,
-                                    np.shape(m.u64))
-        if out is None:
-            out = np.empty(shape, np.uint64)
-        if _native_ok(out):
-            _nm_call(h, "nm_mul_mod_shoup", out, (a, w, w_shoup, m.u64))
-            return out
+    out, done = _dispatch("nm_mul_mod_shoup", out, (a, w, w_shoup, m.u64))
+    if done:
+        return out
     q = mulhi64(a, w_shoup,
                 out=_ws.get("shoup.q",
                             np.broadcast_shapes(a.shape, w_shoup.shape)))

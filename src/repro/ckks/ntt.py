@@ -606,13 +606,13 @@ class _NativeTables:
 
     Contiguous ``(limbs, n)`` twiddle matrices plus per-limb ``n^-1`` and
     merged last-stage constants (``psi_inv_rev[1] * n^-1``), each with
-    its Shoup companion.  The pointers are cast once here, so a
+    its Shoup companion.  The pointers are taken once here, so a
     transform costs one contiguous copy into a fresh output and one call.
     """
 
     def __init__(self, handle, contexts: tuple[NttContext, ...],
                  moduli: ModulusVector) -> None:
-        self.lib, self.ffi = handle.lib, handle.ffi
+        self.handle = handle
         self.n = contexts[0].n
         self.limbs = len(contexts)
         merged = np.array(
@@ -633,22 +633,21 @@ class _NativeTables:
         self._arrays = [np.ascontiguousarray(np.stack(t), dtype=np.uint64)
                         for t in tables]
         psi, psi_sh, ipsi, ipsi_sh, ninv, ninv_sh, mg, mg_sh, mods = (
-            self.ffi.cast("const uint64_t *", t.ctypes.data)
-            for t in self._arrays)
+            handle.ptr(t) for t in self._arrays)
         self._forward = (psi, psi_sh, mods)
         self._inverse = (ipsi, ipsi_sh, ninv, ninv_sh, mg, mg_sh, mods)
 
     def _run(self, kernel, tables, a: np.ndarray) -> np.ndarray:
         out = np.array(a, dtype=np.uint64, order="C")  # fresh, contiguous
-        kernel(out.size // self.n, self.limbs, self.n,
-               self.ffi.cast("uint64_t *", out.ctypes.data), *tables)
+        kernel(out.size // self.n, self.limbs, self.n, self.handle.ptr(out),
+               *tables)
         return out
 
     def forward(self, a: np.ndarray) -> np.ndarray:
-        return self._run(self.lib.nm_ntt_forward, self._forward, a)
+        return self._run(self.handle.lib.nm_ntt_forward, self._forward, a)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
-        return self._run(self.lib.nm_ntt_inverse, self._inverse, a)
+        return self._run(self.handle.lib.nm_ntt_inverse, self._inverse, a)
 
 
 @dataclass(frozen=True)

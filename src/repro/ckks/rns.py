@@ -432,18 +432,9 @@ def base_convert(poly: RnsPolynomial,
         # canonical, bit-identical to the accumulate + reduce below.
         out = np.empty(shape, dtype=np.uint64)
         cr = np.ascontiguousarray(cross[:, :, 0])
-        mvals = np.ascontiguousarray(dst_moduli.u64.ravel())
-        mhi = np.ascontiguousarray(dst_moduli.mu_hi.ravel())
-        mlo = np.ascontiguousarray(dst_moduli.mu_lo.ravel())
-        ffi = h.ffi
-        h.lib.nm_bconv(
-            shape[0], terms.shape[0], n,
-            ffi.cast("uint64_t *", out.ctypes.data),
-            ffi.cast("const uint64_t *", terms.ctypes.data),
-            ffi.cast("const uint64_t *", cr.ctypes.data),
-            ffi.cast("const uint64_t *", mvals.ctypes.data),
-            ffi.cast("const uint64_t *", mhi.ctypes.data),
-            ffi.cast("const uint64_t *", mlo.ctypes.data))
+        h.lib.nm_bconv(shape[0], terms.shape[0], n, h.ptr(out),
+                       h.ptr(terms), h.ptr(cr), h.ptr(dst_moduli.u64),
+                       h.ptr(dst_moduli.mu_hi), h.ptr(dst_moduli.mu_lo))
         return RnsPolynomial(dst_base, out, is_ntt=False)
     if planes_ok and _LITTLE_ENDIAN:
         acc_hi, acc_lo = _mmau_accumulate_planes(terms, cross, shape)

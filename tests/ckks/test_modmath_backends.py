@@ -121,10 +121,25 @@ class TestPrimitiveBitIdentity:
     def test_strided_views(self, rng):
         m = Modulus((1 << 59) + 55)
         base = rng.integers(0, m.value, size=(64, 64), dtype=np.uint64)
-        views = [base.T, base[::2, ::3], base[:, 7]]
+        views = [base.T, base[::2, ::3], base[:, 7], base[::-1, ::-2]]
         for view in views:
             _assert_identical(
                 *_under_both(lambda v=view: mul_mod(v, v, m)))
+        # a size-1 middle axis repeats against a full one (stride 0)
+        cube = base[:48].reshape(3, 4, 4, 64)[:, :, 0]
+        _assert_identical(
+            *_under_both(lambda: mul_mod(cube[:, :1], cube, m)))
+        # a strided out= is filled in place and returned
+        spread = np.zeros((64, 128), dtype=np.uint64)
+
+        def into_strided():
+            got = mul_mod(base, base.T, m, out=spread[:, ::2])
+            assert np.shares_memory(got, spread)
+            return got.copy()
+
+        ref, got = _under_both(into_strided)
+        _assert_identical(ref, got)
+        assert not spread[:, 1::2].any()
 
     def test_scalar_broadcast(self, rng):
         m = Modulus((1 << 61) + 15)
@@ -146,10 +161,14 @@ class TestPrimitiveBitIdentity:
         arr_a = np.array([a], dtype=np.uint64)
         arr_b = np.array([b], dtype=np.uint64)
         ws = shoup_precompute(arr_b, m)
-        for fn in (lambda: mul_mod(arr_a, arr_b, m),
-                   lambda: mul_mod_shoup(arr_a, arr_b, ws, m)):
-            ref, got = _under_both(fn)
-            _assert_identical(ref, got)
+        # one-element and 0-d operands: both backends return an array
+        for x, y, w in ((arr_a, arr_b, ws), (arr_a[0], arr_b[0], ws[0])):
+            for fn in (lambda: mul_mod(x, y, m),
+                       lambda: mul_mod_shoup(x, y, w, m),
+                       lambda: mul_mod_add(x, x, y, m)):
+                ref, got = _under_both(fn)
+                _assert_identical(ref, got)
+                assert got.shape == np.shape(x)
 
     def test_native_selftest(self):
         from repro.ckks import _native
@@ -225,6 +244,23 @@ class TestInheritedLayersBitIdentity:
             return out.b.residues, out.a.residues
 
         _assert_identical(*_under_both(run))
+
+
+@needs_native
+def test_backend_is_chosen_once(monkeypatch):
+    """The env var is read by ``set_backend(None)``, not per call."""
+    try:
+        monkeypatch.setenv("REPRO_MODMATH_BACKEND", "native")
+        assert set_backend(None) == "native"
+        monkeypatch.setenv("REPRO_MODMATH_BACKEND", "numpy")
+        assert active_backend() == "native"
+        assert set_backend(None) == "numpy"
+        monkeypatch.setenv("REPRO_MODMATH_BACKEND", "no-such-backend")
+        assert active_backend() == "numpy"
+        assert set_backend(None) == "native"  # unknown means auto
+    finally:
+        monkeypatch.undo()
+        set_backend(None)
 
 
 class TestBackendFixture:
