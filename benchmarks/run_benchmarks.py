@@ -16,8 +16,9 @@ when any kernel regresses more than ``--tolerance`` (default 20%) — the
 regression gate every perf-touching PR must pass.  The parameters mirror
 ``bench_functional_ckks.py``: HMult/HRot run at N=2^11, L=10, dnum=2;
 the bootstrap runs the library's deepest path at N=2^9.  ``--smoke``
-cuts repetitions and skips the bootstrap so the run finishes in seconds
-on CI runners.
+cuts repetitions and skips the timed bootstrap kernels so the run
+finishes in seconds on CI runners (one untimed bootstrap still counts
+native calls).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import platform
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +362,53 @@ def bench_native_crossing(reps: int) -> dict:
     return {"median_us": round(median * 1e6, 2), "reps": reps}
 
 
+def count_native_calls_per_bootstrap() -> dict | None:
+    """Native library calls made by one 32-slot bootstrap, ungated.
+
+    The ring is fhebench's ``bootstrap`` ring (N=2^9, L=14, dnum=3).
+    Every call into the library looks its kernel up on ``_Handle.lib``,
+    so a proxy there counts each one; ``None`` under the NumPy backend.
+    """
+    from repro.ckks import modmath
+    from repro.ckks.bootstrap import BootstrapConfig, Bootstrapper
+    from repro.ckks.encoder import Encoder
+    from repro.ckks.evaluator import Evaluator
+    from repro.ckks.keys import KeyGenerator
+    from repro.ckks.params import CkksParams, RingContext
+    from repro.ckks.sine import SineConfig
+
+    handle = modmath._active_native()
+    if handle is None:
+        return None
+    ring = RingContext(CkksParams.functional(
+        n=1 << 9, l=14, dnum=3, scale_bits=40, q0_bits=52, p_bits=52,
+        h=32))
+    kg = KeyGenerator(ring, seed=1)
+    ev = Evaluator(ring)
+    bs = Bootstrapper(ev, BootstrapConfig(
+        n_slots=32, sine=SineConfig(k_range=12, degree=63,
+                                    double_angles=2)))
+    bs.generate_keys(kg)
+    z = np.linspace(-0.4, 0.4, 32) + 0j
+    ct = ev.drop_to_level(kg.encrypt_symmetric(
+        Encoder(ring).encode(z, 2.0 ** 40).poly, 2.0 ** 40, 32), 0)
+    bs.bootstrap(ct)  # first use builds the per-level tables
+    counts: Counter = Counter()
+    lib = handle.lib
+
+    class Counting:
+        def __getattr__(self, name):
+            counts[name] += 1
+            return getattr(lib, name)
+
+    handle.lib = Counting()
+    try:
+        bs.bootstrap(ct)
+    finally:
+        handle.lib = lib
+    return {"calls": sum(counts.values()), "kernels": dict(counts)}
+
+
 def bench_precision_calibration(ring, kg, ev, smoke: bool) -> dict:
     """Decrypt-probe calibration: analytic estimate vs true slot error.
 
@@ -651,6 +700,7 @@ def main() -> None:
         ring, max(1, reps if args.smoke else reps // 2))
     kernels.update(service_kernels)
     native_crossing = bench_native_crossing(500 if args.smoke else 2000)
+    native_calls = count_native_calls_per_bootstrap()
     precision_calibration = bench_precision_calibration(
         ring, kg, ev, smoke=args.smoke)
     if not args.smoke:
@@ -688,6 +738,9 @@ def main() -> None:
         # median microseconds of a one-element mul_mod: the fixed cost
         # of one modmath call (a native crossing under the native backend)
         "native_crossing": native_crossing,
+        # native library calls per 32-slot bootstrap of the fhebench
+        # ring, by kernel (None under numpy): deterministic, ungated here
+        "native_calls_per_bootstrap": native_calls,
         # actual/estimate ratio stats per plan for the batched-throughput
         # server (admission pricing on): the simulator-to-host gap the
         # serving deadline multiplier must absorb, stamped per run.

@@ -8,13 +8,14 @@ honest: when a compiler or cffi is missing, the platform lacks
 returns ``None`` and :mod:`repro.ckks.modmath` keeps running on the
 pure-NumPy path that doubles as the bit-identity oracle.
 
-The kernel set (ABI 5) holds only kernels with a production caller:
+The kernel set (ABI 6) holds only kernels with a production caller:
 the strided element-wise primitives behind :mod:`repro.ckks.modmath`
-(``nm_mul_mod``, ``nm_mul_mod_shoup``, and ``nm_mul_mod_add`` for the
-evk inner product), the fused BConv accumulate-reduce ``nm_bconv``, and
-the whole-transform batched NTTs ``nm_ntt_forward`` /
-``nm_ntt_inverse`` that :class:`~repro.ckks.ntt.BatchedNttContext`
-calls once per transform.  ``mulhi64``, ``mul128``,
+(``nm_mul_mod``, ``nm_mul_mod_shoup``), the modular dot product over a
+term axis ``nm_dot_mod`` behind :func:`~repro.ckks.modmath.dot_mod`
+(the evk inner product, the BSGS diagonal sums and BConv), and the
+whole-transform batched NTTs ``nm_ntt_forward`` / ``nm_ntt_inverse``
+that :class:`~repro.ckks.ntt.BatchedNttContext` calls once per
+transform.  ``mulhi64``, ``mul128``,
 ``barrett_reduce128`` and ``mul_mod_shoup_lazy`` have no native entry:
 their NumPy forms are the oracle, and the C kernels above do that
 arithmetic inside their own loops.
@@ -22,9 +23,9 @@ arithmetic inside their own loops.
 Backend selection is owned by :mod:`repro.ckks.modmath` (the
 ``REPRO_MODMATH_BACKEND`` env var / :func:`~repro.ckks.modmath.set_backend`);
 this module answers "can a working library be produced, and hand me its
-handle".  It also owns the crossing: :meth:`_Handle.ptr` and
-:meth:`_Handle.call_strided` are the only code that turns NumPy arrays
-into C pointers, dims and strides.
+handle".  It also owns the crossing: :meth:`_Handle.ptr`,
+:meth:`_Handle.call_strided` and :meth:`_Handle.call_dot` are the only
+code that turns NumPy arrays into C pointers, dims and strides.
 
 Build products are content-addressed: the shared object's filename
 embeds a hash of the C source plus the ABI version, so editing the
@@ -52,7 +53,7 @@ import numpy as np
 
 #: Must match NM_ABI_VERSION in modmath_native.c; bump both when the
 #: kernel set or any signature changes.
-ABI_VERSION = 5
+ABI_VERSION = 6
 
 #: Must match NM_MAX_NDIM: the strided kernels refuse deeper shapes.
 MAX_NDIM = 8
@@ -75,17 +76,9 @@ void nm_mul_mod_shoup(int64_t ndim, const int64_t *dims,
                       const char *w, const int64_t *sw,
                       const char *ws, const int64_t *sws,
                       const char *m, const int64_t *sm);
-void nm_mul_mod_add(int64_t ndim, const int64_t *dims,
-                    char *out, const int64_t *so,
-                    const char *acc, const int64_t *sacc,
-                    const char *a, const int64_t *sa,
-                    const char *b, const int64_t *sb,
-                    const char *m, const int64_t *sm,
-                    const char *mu, const int64_t *smu);
-void nm_bconv(int64_t dst, int64_t src, int64_t n,
-              uint64_t *out, const uint64_t *terms, const uint64_t *cross,
-              const uint64_t *m, const uint64_t *mu_hi,
-              const uint64_t *mu_lo);
+void nm_dot_mod(int64_t halves, int64_t rows, int64_t n, int64_t terms,
+                int64_t fold, const int64_t *meta, const int64_t *wmap,
+                char *out, const uint64_t *mods);
 void nm_ntt_forward(int64_t rows, int64_t limbs, int64_t n, uint64_t *a,
                     const uint64_t *psi, const uint64_t *psi_shoup,
                     const uint64_t *mods);
@@ -291,6 +284,69 @@ class _Handle:
         for i, arr in enumerate(arrays, start=1):
             args += [self.ptr(arr, "char *"), packed + i * ndim]
         getattr(self.lib, kernel)(*args)
+
+    def call_dot(self, out: np.ndarray, xs, ws, negate, w_rows: np.ndarray,
+                 fold: int, mods: np.ndarray) -> None:
+        """Fill ``out`` with ``nm_dot_mod`` (see ``modmath.dot_mod``).
+
+        ``out`` is ``(rows, n)`` or ``(halves, rows, n)``, and each term
+        group crosses as pointer tables, never as a stacked copy: per
+        (half, term) the operand's base address, and per term its row
+        and coefficient byte strides.  A group is an array whose axis 0
+        is the term axis, or a sequence with one operand per term: an
+        array broadcast to ``out`` or a tuple of one array per half.
+        The caller has checked every shape; ``w_rows`` (int64, one entry
+        per row) maps output rows to weight rows, and ``mods`` holds
+        each row's modulus and two-word Barrett constant as a
+        contiguous ``(3, rows)`` array.
+        """
+        shape = (1,) * (3 - out.ndim) + out.shape
+        x_addr, x_row, x_col = _term_tables(xs, shape[0])
+        w_addr, w_row, w_col = _term_tables(ws, shape[0])
+        meta = self.ffi.new("int64_t[]", (
+            x_addr + w_addr + x_row + w_row + x_col + w_col
+            + [int(bool(neg)) for neg in negate]
+            + _strides3(out.shape, out.strides)))
+        # contiguous arrays: a buffer view is the cheapest pointer
+        buf = self.ffi.from_buffer
+        self.lib.nm_dot_mod(*shape, len(negate), fold, meta,
+                            buf("int64_t[]", w_rows), buf("char[]", out),
+                            buf("uint64_t[]", mods))
+
+
+def _strides3(shape, strides) -> list[int]:
+    """Byte strides over (halves, rows, n): 0 on a missing or size-1 axis."""
+    return [0] * (3 - len(shape)) + [stride if size != 1 else 0
+                                     for size, stride in zip(shape, strides)]
+
+
+def _address(arr: np.ndarray) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+def _term_tables(group, halves: int):
+    """Addresses (half-major), row strides and coefficient strides."""
+    if isinstance(group, np.ndarray):  # axis 0 is the term axis
+        base, step = _address(group), group.strides[0]
+        half, row, col = _strides3(group.shape[1:], group.strides[1:])
+        terms = range(len(group))
+        return ([base + h * half + t * step for h in range(halves)
+                 for t in terms], [row] * len(group), [col] * len(group))
+    addr = [[0] * len(group) for _ in range(halves)]
+    rows, cols = [], []
+    for t, op in enumerate(group):
+        if isinstance(op, tuple):  # one array per half
+            _, row, col = _strides3(op[0].shape, op[0].strides)
+            for h, arr in enumerate(op):
+                addr[h][t] = _address(arr)
+        else:
+            half, row, col = _strides3(op.shape, op.strides)
+            base = _address(op)
+            for h in range(halves):
+                addr[h][t] = base + h * half
+        rows.append(row)
+        cols.append(col)
+    return [a for per_half in addr for a in per_half], rows, cols
 
 
 def reset_for_tests() -> None:

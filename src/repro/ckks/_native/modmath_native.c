@@ -8,22 +8,17 @@
  * reference in repro/ckks/modmath.py: outputs are canonical residues,
  * so both backends agree bit for bit, not merely modulo q.
  *
- * Kernel set (ABI 5): only kernels with a production caller.  The
- * element-wise primitives mul_mod, mul_mod_shoup and mul_mod_add (the
- * evk inner product), the fused BConv accumulate-reduce (bconv) and
- * the whole negacyclic NTTs over a residue matrix (ntt_forward,
- * ntt_inverse: every stage of every row in one call).  The 128-bit
- * helpers nm_mulhi and nm_barrett128 are static: bconv, the Shoup
- * multiplies and the self-test use them, nothing calls them from
- * Python.
+ * Kernel set (ABI 6): only kernels with a production caller: mul_mod
+ * and mul_mod_shoup (element-wise), dot_mod (the modular dot product
+ * behind the evk inner product, the BSGS diagonal sums and BConv) and
+ * ntt_forward/ntt_inverse (every stage of every row in one call).  The
+ * static 128-bit helpers nm_mulhi and nm_barrett128 have no Python entry.
  *
- * Iteration model of the element-wise primitives: the Python wrapper
- * broadcasts every operand to the output shape (broadcast axes become
- * stride 0) and passes per-operand byte strides.  Kernels walk an
- * odometer over the outer dimensions and run a strided inner loop over
- * the last axis, so arbitrary NumPy views (column constants, tiled
- * planes, transposed slabs) work without copies.  ndim is capped at
- * NM_MAX_NDIM.  bconv and the NTTs take C-contiguous matrices instead.
+ * Element-wise primitives: the Python wrapper broadcasts every operand
+ * to the output shape (broadcast axes become stride 0) and passes byte
+ * strides; kernels walk an odometer over the outer dims and a strided
+ * inner loop over the last, so any NumPy view works without copies
+ * (ndim <= NM_MAX_NDIM).  dot_mod takes operand tables, the NTTs rows.
  *
  * Build: any C compiler with unsigned __int128 (gcc/clang on 64-bit
  * targets).  No Python.h, no NumPy headers — the library is loaded via
@@ -39,9 +34,7 @@ typedef unsigned __int128 u128;
 
 #define NM_MAX_NDIM 8
 
-/* ABI version stamp: the loader refuses a stale shared object whose
- * kernel set no longer matches the cdef it was compiled against. */
-#define NM_ABI_VERSION 5
+#define NM_ABI_VERSION 6     /* the loader refuses a stale kernel set */
 
 i64 nm_abi_version(void) { return NM_ABI_VERSION; }
 
@@ -107,21 +100,11 @@ void nm_mul_mod(i64 ndim, const i64 *dims,
         const char *pb = nm_off(b, sb, idx, ndim);
         const char *pm = nm_off(m, sm, idx, ndim);
         const char *pmu = nm_off(mu, smu, idx, ndim);
-        if (mi == 0 && mui == 0) {
-            /* one modulus per row: hoist the constants */
-            const u64 mv = NM_RD(pm, 0, 0), muv = NM_RD(pmu, 0, 0);
-            const int k = nm_bits(mv);
-            for (i64 c = 0; c < inner; c++) {
-                u128 x = (u128)NM_RD(pa, ai, c) * NM_RD(pb, bi, c);
-                NM_WR(po, oi, c) = nm_barrett_word(x, mv, muv, k);
-            }
-        } else {
-            for (i64 c = 0; c < inner; c++) {
-                const u64 mv = NM_RD(pm, mi, c);
-                u128 x = (u128)NM_RD(pa, ai, c) * NM_RD(pb, bi, c);
-                NM_WR(po, oi, c) = nm_barrett_word(
-                    x, mv, NM_RD(pmu, mui, c), nm_bits(mv));
-            }
+        for (i64 c = 0; c < inner; c++) {
+            const u64 mv = NM_RD(pm, mi, c);
+            u128 x = (u128)NM_RD(pa, ai, c) * NM_RD(pb, bi, c);
+            NM_WR(po, oi, c) = nm_barrett_word(x, mv, NM_RD(pmu, mui, c),
+                                               nm_bits(mv));
         }
     } while (nm_step(ndim, dims, idx));
 }
@@ -130,10 +113,10 @@ void nm_mul_mod(i64 ndim, const i64 *dims,
  * mu = floor(2^128 / m) as (mu_hi, mu_lo).  q_hat = floor(x*mu / 2^128)
  * computed exactly; remainder < 3m, two corrections.  Canonical output,
  * identical to both NumPy routes of barrett_reduce128 (generic and
- * lazy128 fold); nm_bconv reduces its accumulated sums with it.        */
+ * lazy128 fold); nm_dot_mod reduces its accumulated sums with it.     */
 
-static inline u64 nm_barrett128(u64 hi, u64 lo, u64 m, u64 mu_hi,
-                                u64 mu_lo) {
+static inline u64 nm_barrett128(u128 x, u64 m, u64 mu_hi, u64 mu_lo) {
+    const u64 hi = (u64)(x >> 64), lo = (u64)x;
     u128 h1 = (u128)hi * mu_lo;
     u128 h2 = (u128)lo * mu_hi;
     u64 h3 = nm_mulhi(lo, mu_lo);
@@ -175,69 +158,85 @@ void nm_mul_mod_shoup(i64 ndim, const i64 *dims,
     } while (nm_step(ndim, dims, idx));
 }
 
-/* ----- fused multiply-accumulate: out = (acc + a*b mod m) mod m ------- *
- * The evk inner-product step of key switching: one pass instead of a
- * mul_mod pass plus an add_mod pass.  acc must be canonical; output is
- * canonical and bit-identical to add_mod(acc, mul_mod(a, b, m), m).    */
+/* ----- modular dot product over a term axis: the MMAU ---------------- *
+ * out[h][r][c] = sum_t (-1)^neg[t] x[h][t][r][c] * w[h][t][wmap[r]][c]
+ * mod m[r] (Eq. 9 part 2 and the evk inner product are both this sum).
+ * meta holds i64 words: the base address of x, then of w, per (half,
+ * term); per term the row byte strides (x, w), then the coefficient
+ * byte strides (x, w); a sign flag per term; out's three byte strides.
+ * Stride 0 repeats a row or makes a column.  mods rows: m, mu_hi, mu_lo.
+ * Per coefficient block, runs of up to NM_DOT_CHUNK same-sign terms add
+ * in registers to exact u128 sums, positive and negative apart; a sum
+ * is Barrett-folded below m before it passes fold terms (the caller
+ * sets fold * (max operand)^2 < 2^128, fold > NM_DOT_CHUNK).  One
+ * Barrett per sign and output: canonical, bit-identical to reducing
+ * term by term.  No scratch is shared between calls (GIL released).    */
 
-void nm_mul_mod_add(i64 ndim, const i64 *dims,
-                    char *out, const i64 *so,
-                    const char *acc, const i64 *sacc,
-                    const char *a, const i64 *sa,
-                    const char *b, const i64 *sb,
-                    const char *m, const i64 *sm,
-                    const char *mu, const i64 *smu) {
-    i64 idx[NM_MAX_NDIM] = {0};
-    const i64 inner = dims[ndim - 1];
-    const i64 oi = so[ndim - 1], acci = sacc[ndim - 1];
-    const i64 ai = sa[ndim - 1], bi = sb[ndim - 1];
-    const i64 mi = sm[ndim - 1], mui = smu[ndim - 1];
-    do {
-        char *po = (char *)nm_off(out, so, idx, ndim);
-        const char *pacc = nm_off(acc, sacc, idx, ndim);
-        const char *pa = nm_off(a, sa, idx, ndim);
-        const char *pb = nm_off(b, sb, idx, ndim);
-        const char *pm = nm_off(m, sm, idx, ndim);
-        const char *pmu = nm_off(mu, smu, idx, ndim);
-        const u64 mv0 = NM_RD(pm, 0, 0), muv0 = NM_RD(pmu, 0, 0);
-        const int k0 = nm_bits(mv0);
-        const int hoist = (mi == 0 && mui == 0);
-        for (i64 c = 0; c < inner; c++) {
-            const u64 mv = hoist ? mv0 : NM_RD(pm, mi, c);
-            const u64 muv = hoist ? muv0 : NM_RD(pmu, mui, c);
-            const int k = hoist ? k0 : nm_bits(mv);
-            u128 x = (u128)NM_RD(pa, ai, c) * NM_RD(pb, bi, c);
-            u64 r = nm_barrett_word(x, mv, muv, k);
-            u64 s = NM_RD(pacc, acci, c) + r;
-            if (s >= mv) s -= mv;
-            NM_WR(po, oi, c) = s;
-        }
-    } while (nm_step(ndim, dims, idx));
-}
+#define NM_DOT_BLOCK 128
+#define NM_DOT_CHUNK 6
+#define NM_P(j) ((u128)NM_RD(p[2 * (j)], st[2 * (j)], c0 + c) \
+                 * NM_RD(p[2 * (j) + 1], st[2 * (j) + 1], c0 + c))
+#define NM_COL(j) ((u128)((const u64 *)p[2 * (j)])[c0 + c] * wv[j])
+#define NM_SUM(sum) for (i64 c = 0; c < len; c++) \
+        a[c] = (fresh ? 0 : a[c]) + (sum)
+#define NM_RUNS(P) switch (k) {      /* one pass over a, k products each */ \
+    case 6: NM_SUM(P(0) + P(1) + P(2) + P(3) + P(4) + P(5)); break;      \
+    case 5: NM_SUM(P(0) + P(1) + P(2) + P(3) + P(4)); break;             \
+    case 4: NM_SUM(P(0) + P(1) + P(2) + P(3)); break;                    \
+    case 3: NM_SUM(P(0) + P(1) + P(2)); break;                           \
+    case 2: NM_SUM(P(0) + P(1)); break;                                  \
+    default: NM_SUM(P(0)); }
 
-/* ----- fused BConv multiply-accumulate-reduce ------------------------- *
- * The MMAU proper (Eq. 9 part 2): for each destination limb i and
- * coefficient c, the exact 128-bit sum over source limbs j of
- * terms[j][c] * cross[i][j], Barrett-reduced once at the end.  The
- * caller guarantees the true total stays below 2^128 (the `lazy_ok`
- * gate of rns._bconv_table), so the wrapping u128 accumulation is
- * exact.  All arrays are C-contiguous: terms (src, n), cross
- * (dst, src), out (dst, n); m/mu_hi/mu_lo are per-destination words.
- * Bit-identical to _mmau_accumulate_* + barrett_reduce128.             */
-
-void nm_bconv(i64 dst, i64 src, i64 n,
-              u64 *out, const u64 *terms, const u64 *cross,
-              const u64 *m, const u64 *mu_hi, const u64 *mu_lo) {
-    for (i64 i = 0; i < dst; i++) {
-        const u64 *cr = cross + i * src;
-        const u64 mv = m[i], mh = mu_hi[i], ml = mu_lo[i];
-        u64 *row = out + i * n;
-        for (i64 c = 0; c < n; c++) {
-            u128 acc = 0;
-            for (i64 j = 0; j < src; j++)
-                acc += (u128)terms[j * n + c] * cr[j];
-            row[c] = nm_barrett128((u64)(acc >> 64), (u64)acc,
-                                   mv, mh, ml);
+void nm_dot_mod(i64 halves, i64 rows, i64 n, i64 terms, i64 fold,
+                const i64 *meta, const i64 *wmap, char *out,
+                const u64 *mods) {
+    const i64 *xa = meta, *wa = xa + halves * terms;
+    const i64 *xr = wa + halves * terms, *wr = xr + terms;
+    const i64 *xc = wr + terms, *wc = xc + terms;
+    const i64 *neg = wc + terms, *so = neg + terms;
+    u128 acc[2][NM_DOT_BLOCK];
+    for (i64 h = 0; h < halves; h++)
+    for (i64 r = 0; r < rows; r++) {
+        const u64 mv = mods[r], mh = mods[rows + r], ml = mods[2 * rows + r];
+        for (i64 c0 = 0; c0 < n; c0 += NM_DOT_BLOCK) {
+            const i64 len = n - c0 < NM_DOT_BLOCK ? n - c0 : NM_DOT_BLOCK;
+            i64 count[2] = {0, 0};
+            for (i64 t = 0; t < terms; ) {
+                const int s = neg[t] != 0;
+                const char *p[2 * NM_DOT_CHUNK];
+                i64 st[2 * NM_DOT_CHUNK], k = 0;
+                for (; k < NM_DOT_CHUNK && t < terms && (neg[t] != 0) == s;
+                     k++, t++) {
+                    st[2 * k] = xc[t], st[2 * k + 1] = wc[t];
+                    p[2 * k] = (const char *)xa[h * terms + t] + r * xr[t];
+                    p[2 * k + 1] = (const char *)wa[h * terms + t]
+                        + wmap[r] * wr[t];
+                }
+                if (count[s] + k > fold) {     /* fold the sum below m */
+                    for (i64 c = 0; c < len; c++)
+                        acc[s][c] = nm_barrett128(acc[s][c], mv, mh, ml);
+                    count[s] = 1;
+                }
+                const int fresh = count[s] == 0;
+                u128 *a = acc[s];
+                u64 wv[NM_DOT_CHUNK] = {0};
+                int col = 1;            /* contiguous x, column w: BConv */
+                for (i64 j = 0; j < k; j++) {
+                    col &= st[2 * j] == 8 && st[2 * j + 1] == 0;
+                    wv[j] = *(const u64 *)p[2 * j + 1];
+                }
+                count[s] += k;
+                if (col) { NM_RUNS(NM_COL) } else { NM_RUNS(NM_P) }
+            }
+            char *po = out + h * so[0] + r * so[1] + c0 * so[2];
+            for (i64 c = 0; c < len; c++) {
+                u64 v = count[0] ? nm_barrett128(acc[0][c], mv, mh, ml) : 0;
+                if (count[1]) {
+                    const u64 d = nm_barrett128(acc[1][c], mv, mh, ml);
+                    v = v >= d ? v - d : v + (mv - d);
+                }
+                NM_WR(po, so[2], c) = v;
+            }
         }
     }
 }
@@ -346,11 +345,8 @@ i64 nm_selftest(void) {
     const u64 mu = (u64)((((u128)1) << (2 * k)) / m);
     if (nm_barrett_word(p, m, mu, k) != (u64)(p % m)) return 2;
     /* two-word Barrett on the same product */
-    u128 muw = (u128)0 - 1;                      /* 2^128 - 1 */
+    u128 muw = (u128)0 - 1;          /* 2^128 - 1: same floor, m odd */
     u64 mu_hi = (u64)((muw / m) >> 64), mu_lo = (u64)(muw / m);
-    /* floor((2^128 - 1) / m) == floor(2^128 / m) unless m | 2^128 —
-     * impossible for odd m > 1. */
-    if (nm_barrett128((u64)(p >> 64), (u64)p, m, mu_hi, mu_lo)
-        != (u64)(p % m)) return 3;
+    if (nm_barrett128(p, m, mu_hi, mu_lo) != (u64)(p % m)) return 3;
     return 0;
 }

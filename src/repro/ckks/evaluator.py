@@ -50,11 +50,12 @@ from repro.ckks.keyswitch import (
     p_scaled_extension,
     raise_decomposition,
 )
-from repro.ckks.modmath import add_mod
+from repro.ckks.modmath import add_mod, dot_mod
 from repro.ckks.params import RingContext
 from repro.ckks.rns import (
     RnsPolynomial,
     StackedTransform,
+    base_modulus_vector,
     exact_residue_transfer,
 )
 
@@ -388,29 +389,32 @@ class Evaluator:
 
     def lazy_sums(self, ct: Ciphertext, pairs: dict, groups,
                   scale: float) -> list[Ciphertext]:
-        """One ciphertext per group: ``sum sign * weigh(pairs[amount])``.
+        """One ciphertext per group: ``sum sign * weight * pairs[amount]``.
 
-        Each group is a list of ``(amount, sign, weigh)`` with ``weigh``
-        a multiplier over ``C_level + B`` (or ``None``).  Every group's
-        two halves ride one :func:`~repro.ckks.keyswitch.mod_down_many`
+        Each group is a list of ``(amount, sign, weight)`` whose weight
+        is residues over ``C_level + B``: an ``(L, N)`` plane, an
+        ``(L, 1)`` column (a real scalar, from
+        :meth:`~repro.ckks.encoder.Encoder.scalar_columns`) or ``None``.
+        A group's weighted sum, both halves, is one
+        :func:`~repro.ckks.modmath.dot_mod` call, and every group's two
+        halves ride one :func:`~repro.ckks.keyswitch.mod_down_many`
         call — bit-identical to one ModDown pair per group — so the BConv
         rounding enters once per group rather than once per term.  The
         outputs carry ``scale`` (the caller's weighted scale).
         """
+        base = self.ring.base_qp(ct.level)
+        moduli = base_modulus_vector(base)
+        ones = np.ones((len(base), 1), dtype=np.uint64)
         halves = []
         for group in groups:
-            acc_b = acc_a = None
-            for amount, sign, weigh in group:
-                b, a = pairs[amount]
-                if weigh is not None:
-                    b, a = weigh(b), weigh(a)
-                if acc_b is None:
-                    acc_b, acc_a = (b, a) if sign > 0 else (b.neg(), a.neg())
-                elif sign > 0:
-                    acc_b, acc_a = acc_b.add(b), acc_a.add(a)
-                else:
-                    acc_b, acc_a = acc_b.sub(b), acc_a.sub(a)
-            halves += (acc_b, acc_a)
+            acc = dot_mod(
+                [(pairs[amount][0].residues, pairs[amount][1].residues)
+                 for amount, _, _ in group],
+                [ones if weight is None else weight
+                 for _, _, weight in group],
+                moduli, negate=[sign < 0 for _, sign, _ in group])
+            halves += (RnsPolynomial(base, acc[0], True),
+                       RnsPolynomial(base, acc[1], True))
         lowered = mod_down_many(halves, ct.level, self.ring)
         return [Ciphertext(b, a.neg(), scale, ct.n_slots)
                 for b, a in zip(lowered[::2], lowered[1::2])]
@@ -449,30 +453,29 @@ class Evaluator:
                 raise ValueError(
                     f"rotate_reduce term scales diverge: {term_scale:.6g}"
                     f" vs {out_scale:.6g}")
-            weigh = (None if term.weight is None else
-                     self._weight_multiplier(term.weight, scale, base_qp))
-            group.append((term.amount, term.sign, weigh))
+            weight = (None if term.weight is None else
+                      self._weight_multiplier(term.weight, scale, base_qp))
+            group.append((term.amount, term.sign, weight))
         pairs = self.lazy_galois(ct, [term.amount for term in terms])
         return self.lazy_sums(ct, pairs, [group], out_scale)[0]
 
-    def _weight_multiplier(self, weight, scale: float, base_qp):
-        """Multiply by ``weight`` encoded at ``scale`` over ``C_level + B``.
+    def _weight_multiplier(self, weight, scale: float,
+                           base_qp) -> np.ndarray:
+        """``weight`` encoded at ``scale`` over ``C_level + B``, as residues.
 
-        A real scalar is a residue column; a slot vector or complex
-        scalar is an encoded polynomial.
+        A real scalar is an ``(L, 1)`` residue column; a slot vector or
+        complex scalar is an encoded polynomial's ``(L, N)`` plane.
         """
         if isinstance(weight, np.ndarray):
-            weight_qp = self.encoder.encode(
+            return self.encoder.encode(
                 np.asarray(weight, dtype=np.complex128), scale,
-                base=base_qp).poly
-        else:
-            weight = complex(weight)
-            columns = self.encoder.scalar_columns(weight, scale, base_qp)
-            if columns is not None:
-                return lambda poly: poly.mul_scalar_columns(*columns)
-            weight_qp = self.encoder.encode_scalar(weight, scale,
-                                                   base_qp).poly
-        return weight_qp.mul
+                base=base_qp).poly.residues
+        weight = complex(weight)
+        columns = self.encoder.scalar_columns(weight, scale, base_qp)
+        if columns is not None:
+            return columns[0]
+        return self.encoder.encode_scalar(weight, scale,
+                                          base_qp).poly.residues
 
     # ----- encryption / decryption (pk optional, sk for tests) ----------------------
 

@@ -11,7 +11,9 @@ special-prime part followed by the fused subtract-scale-add (SSA).
 One body per stage: :func:`raise_decomposition` is the ModUp (every
 slice's converted limbs share one
 :class:`~repro.ckks.rns.StackedTransform` forward pass),
-:func:`key_switch_accumulate` the evk inner product, and
+:func:`key_switch_accumulate` the evk inner product (one
+:func:`~repro.ckks.modmath.dot_mod` call over every digit and both
+halves), and
 ``_mod_down_stacked`` the ModDown tail (one stacked iNTT, one
 coefficient-stacked BConv, one stacked NTT over any number of
 polynomials).  :func:`mod_down_pair` (a key-switch accumulator's two
@@ -47,8 +49,10 @@ giant step) and :meth:`~repro.ckks.evaluator.Evaluator.rotate_reduce`
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.ckks.keys import EvaluationKey
-from repro.ckks.modmath import mul_mod_add, mul_mod_shoup
+from repro.ckks.modmath import dot_mod, mul_mod_shoup
 from repro.ckks.params import PrimeContext, RingContext
 from repro.ckks.rns import (
     RnsPolynomial,
@@ -270,29 +274,29 @@ def key_switch_accumulate(raised: list[RnsPolynomial], evk: EvaluationKey,
     base, combine them linearly (plaintext multiplies, additions), and
     ModDown once for the whole combination.
 
-    The evk is read in place: each digit multiply-accumulates into one
-    ``(2, level+1+k, N)`` array with two :func:`mul_mod_add` calls, one
-    over the leading ``level+1`` rows of the full-base slice
-    (``C_level``) and one over its trailing ``k`` rows (``B``), each
-    covering both halves.  Both backends run this one path and produce
-    the same canonical residues.
+    The evk is read in place: one :func:`~repro.ckks.modmath.dot_mod`
+    call sums every digit times its ``(2, L+1+k, N)`` slice into one
+    ``(2, level+1+k, N)`` array, both halves at once.  Its row map reads
+    the slice's leading ``level+1`` rows for ``C_level`` and its
+    trailing ``k`` rows for ``B``.  Both backends run this one path and
+    produce the same canonical residues.
     """
     if len(raised) > evk.dnum:
         raise ValueError("evk has fewer slices than the decomposition")
-    rows = level + 1
-    top = ring.max_level + 1  # first special-prime row of the full base
-    c_moduli = base_modulus_vector(ring.base_q(level))
-    b_moduli = base_modulus_vector(ring.base_p)
-    acc = np.zeros((2, rows + len(ring.base_p), raised[0].n),
-                   dtype=np.uint64)
-    acc_c, acc_b = acc[:, :rows], acc[:, rows:]
-    for digit, pair in zip(raised, evk.stacked):
-        x = digit.residues
-        mul_mod_add(acc_c, x[:rows], pair[:, :rows], c_moduli, out=acc_c)
-        mul_mod_add(acc_b, x[rows:], pair[:, top:], b_moduli, out=acc_b)
     working_base = ring.base_qp(level)
+    acc = dot_mod([digit.residues for digit in raised],
+                  evk.stacked[:len(raised)],
+                  base_modulus_vector(working_base),
+                  w_rows=_evk_rows(level + 1, ring.max_level + 1,
+                                   len(ring.base_p)))
     return (RnsPolynomial(working_base, acc[0], True),
             RnsPolynomial(working_base, acc[1], True))
+
+
+@lru_cache(maxsize=64)
+def _evk_rows(rows: int, top: int, special: int) -> np.ndarray:
+    """Full-base evk rows of ``C_level + B``: ``0..rows-1``, then B's."""
+    return np.concatenate([np.arange(rows), top + np.arange(special)])
 
 
 def key_switch_raised(raised: list[RnsPolynomial], evk: EvaluationKey,

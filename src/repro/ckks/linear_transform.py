@@ -180,7 +180,7 @@ class LinearTransform:
         giants = sorted(groups)
         weighted = [
             [(d % g, 1, self._encoded_diagonal(
-                evaluator, d, giant, base_qp, pmult_scale).poly.mul)
+                evaluator, d, giant, base_qp, pmult_scale).poly.residues)
              for d in groups[giant]]
             for giant in giants]
         pairs = evaluator.lazy_galois(ct, baby_needed)

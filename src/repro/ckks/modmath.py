@@ -16,11 +16,12 @@ tests in ``tests/ckks/test_modmath.py``.
 Backends
 --------
 
-The element-wise primitives with a production caller (``mul_mod``,
-``mul_mod_shoup``, ``mul_mod_add``) dispatch through a backend registry
-(``mulhi64``, ``mul128``, ``barrett_reduce128`` and
-``mul_mod_shoup_lazy`` are NumPy only: the native BConv and NTT kernels
-do that arithmetic inside their own C loops):
+The primitives with a production caller (``mul_mod``,
+``mul_mod_shoup`` and the modular dot product ``dot_mod``) dispatch
+through a backend registry (``mulhi64``, ``mul128``,
+``barrett_reduce128`` and ``mul_mod_shoup_lazy`` are NumPy only: the
+native dot-product and NTT kernels do that arithmetic inside their own
+C loops):
 
 * ``numpy`` — the 32-bit-limb ladder implemented in this file.  Always
   available; it is the default-buildable fallback **and** the
@@ -38,9 +39,9 @@ hard step; ``numpy`` disables dispatch entirely.  The env var is read at
 import and by ``set_backend(None)``, never per call; :func:`set_backend`
 also overrides it at runtime (tests use this to run the differential
 tiers under both backends in one process).  Because every kernel funnels
-through these functions, the evk products, scalar multiplies and Shoup
-multiplies inherit the selected backend with no call-site changes; the
-NTT engine and BConv pick their whole-kernel native entry from the same
+through these functions, the evk products, BSGS sums, scalar multiplies
+and Shoup multiplies inherit the selected backend with no call-site
+changes; the NTT engine and BConv pick their native route from the same
 selection.
 
 Performance notes (limb-batched layout)
@@ -361,7 +362,8 @@ class ModulusVector:
 
     __slots__ = ("moduli", "values", "u64", "u64_x2", "mu_hi", "mu_lo",
                  "mu_single", "shift_lo", "shift_hi", "shift_qlo",
-                 "shift_qhi", "r64", "r64_shoup", "lazy128_ok")
+                 "shift_qhi", "r64", "r64_shoup", "lazy128_ok",
+                 "barrett_rows")
 
     def __init__(self, moduli: Sequence[Modulus]) -> None:
         self.moduli = tuple(moduli)
@@ -385,6 +387,10 @@ class ModulusVector:
         self.r64 = column("r64")
         self.r64_shoup = column("r64_shoup")
         self.lazy128_ok = all(m.lazy128_ok for m in self.moduli)
+        #: ``value``, ``mu_hi`` and ``mu_lo`` as rows of one contiguous
+        #: ``(3, num_limbs)`` array (the native dot product's moduli)
+        self.barrett_rows = np.concatenate(
+            [self.u64, self.mu_hi, self.mu_lo]).reshape(3, -1)
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -521,27 +527,123 @@ def add_mod(a: np.ndarray, b: np.ndarray, m: Modulus | ModulusVector,
     return _correct_once(s, m.u64)
 
 
-def mul_mod_add(acc: np.ndarray, a: np.ndarray, b: np.ndarray,
-                m: Modulus | ModulusVector,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Fused ``(acc + a * b) mod m`` for canonical residues.
+def dot_mod(xs, ws, m: Modulus | ModulusVector,
+            negate: Sequence[bool] | None = None,
+            w_rows: np.ndarray | None = None,
+            bound: int | None = None) -> np.ndarray:
+    """``sum_t (-1)^negate[t] * xs[t] * ws[t] mod m``: the MMAU's one job.
 
-    This is the evk inner-product step (one multiply-accumulate per
-    decomposition digit).  The native backend does it in a single strided
-    pass; the NumPy fallback composes :func:`mul_mod` + :func:`add_mod`,
-    which is exactly how callers spelled it before this helper existed —
-    both routes produce the same canonical residue bit-for-bit.  ``out``
-    may alias ``acc`` (in-place accumulation).
+    The modular dot product over a term axis behind the evk inner
+    product (terms: digits), the BSGS diagonal sums (terms: baby
+    rotations) and BConv (terms: source limbs).  The output is a fresh
+    ``(rows, n)`` or ``(halves, rows, n)`` array, the broadcast of every
+    term with ``m``'s ``(rows, 1)`` moduli.  ``xs`` and ``ws`` each hold
+    one operand per term: an array whose axis 0 is the term axis, or a
+    sequence whose items are arrays or tuples of one array per half
+    (with one shape and strides).
+    Operands broadcast like NumPy, so a ``(rows, 1)`` weight is a column
+    and an ``(n,)`` operand repeats on every row.  ``w_rows`` maps
+    output row ``r`` to row ``w_rows[r]`` of every weight (an evk read
+    in place).  Operands are canonical residues, or any words below
+    ``bound`` when given.
+
+    The native backend crosses once: the operands go as pointer tables,
+    and every element sums its products exactly in 128 bits (positive
+    and negative terms apart, folded before the sum could overflow) and
+    takes one Barrett reduction per sign.  The NumPy backend reduces
+    term by term (:func:`mul_mod`, or :func:`mul128` and
+    :func:`barrett_reduce128` under ``bound``, then :func:`add_mod` or
+    :func:`sub_mod`) and is the oracle; both give the same canonical
+    residues.
     """
-    acc = _as_u64(acc)
-    a = _as_u64(a)
-    b = _as_u64(b)
-    out, done = _dispatch("nm_mul_mod_add", out,
-                          (acc, a, b, m.u64, m.mu_single))
-    if done:
+    negate = (False,) * len(xs) if negate is None else tuple(negate)
+    if not 0 < len(xs) == len(ws) == len(negate):
+        raise ValueError(f"dot_mod needs one weight and sign per operand: "
+                         f"{len(xs)} operands, {len(ws)} weights, "
+                         f"{len(negate)} signs")
+    if w_rows is not None:
+        w_rows = np.ascontiguousarray(w_rows, dtype=np.int64)
+    shape = _dot_shape(xs, ws, np.shape(m.u64), w_rows)
+    out = np.empty(shape, np.uint64)
+    if _handle is not None:
+        rows = shape[-2]
+        if isinstance(m, ModulusVector) and len(m) == rows:
+            top, mods = max(m.values), m.barrett_rows
+        else:
+            top = max(getattr(m, "values", (m.value,)))
+            mods = np.ascontiguousarray(np.broadcast_to(
+                np.reshape([m.u64, m.mu_hi, m.mu_lo], (3, -1)), (3, rows)))
+        _handle.call_dot(out, xs, ws, negate,
+                         _identity_rows(rows) if w_rows is None else w_rows,
+                         _dot_fold(max(top, bound or 0)), mods)
         return out
-    prod = mul_mod(a, b, m, out=_ws.get("mma.prod", out.shape))
-    return add_mod(acc, prod, m, out=out)
+    out[...] = 0
+    for x, w, neg in zip(xs, ws, negate):
+        x, w = _stack_halves(x), _stack_halves(w)
+        if w_rows is not None:
+            w = np.take(w, w_rows, axis=-2)
+        prod = (mul_mod(x, w, m) if bound is None
+                else barrett_reduce128(*mul128(x, w), m))
+        (sub_mod if neg else add_mod)(out, prod, m, out=out)
+    return out
+
+
+def _stack_halves(op) -> np.ndarray:
+    return np.stack(op) if isinstance(op, tuple) else op
+
+
+def _dims(op) -> tuple[int, ...]:
+    """An operand's shape; a tuple of halves adds a leading half axis."""
+    arrays = op if isinstance(op, tuple) else (op,)
+    if any(getattr(a, "dtype", None) != np.uint64 for a in arrays):
+        raise TypeError("dot_mod operands must be uint64 arrays")
+    if not isinstance(op, tuple):
+        return op.shape
+    if any((half.shape, half.strides) != (op[0].shape, op[0].strides)
+           for half in op):
+        raise ValueError("dot_mod: a term's halves differ in layout")
+    return (len(op), *op[0].shape)
+
+
+def _dot_shape(xs, ws, m_shape, w_rows) -> tuple[int, ...]:
+    """The broadcast output shape of :func:`dot_mod`'s operands.
+
+    A stacked group (an array) contributes its per-term shape once.  A
+    weight's row axis may be longer than the output's when ``w_rows``
+    picks its rows.
+    """
+    x_dims = ([_dims(xs)[1:]] if isinstance(xs, np.ndarray)
+              else [_dims(x) for x in xs])
+    w_dims = ([_dims(ws)[1:]] if isinstance(ws, np.ndarray)
+              else [_dims(w) for w in ws])
+    if w_rows is not None:
+        if any(len(d) < 2 or d[-2] <= w_rows.max() for d in w_dims) \
+                or w_rows.min() < 0:
+            raise ValueError("dot_mod: w_rows reads past a weight")
+        w_dims = [(*d[:-2], len(w_rows), d[-1]) for d in w_dims]
+    shape = np.broadcast_shapes(m_shape, *set(x_dims), *set(w_dims))
+    if len(shape) not in (2, 3):
+        raise ValueError(f"dot_mod output {shape} is not (rows, n) or "
+                         "(halves, rows, n)")
+    return shape
+
+
+@lru_cache(maxsize=64)
+def _identity_rows(rows: int) -> np.ndarray:
+    return np.arange(rows, dtype=np.int64)
+
+
+@lru_cache(maxsize=64)
+def _dot_fold(bound: int) -> int:
+    """Terms one 128-bit sum takes before a fold: T * (bound-1)^2 < 2^128.
+
+    Operands below ``2^62`` (every modulus is) give at least 16, more
+    than the native kernel's six-term register runs.
+    """
+    if bound > MODULUS_LIMIT:
+        raise ValueError(f"dot_mod operands must stay below 2^62, "
+                         f"not {bound}")
+    return min(((1 << 128) - 1) // (bound - 1) ** 2, 1 << 62)
 
 
 def sub_mod(a: np.ndarray, b: np.ndarray, m: Modulus | ModulusVector,

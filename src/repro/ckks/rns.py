@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from repro.ckks.modmath import (
     ModulusVector,
     add_mod,
     barrett_reduce128,
+    dot_mod,
     inv_mod,
     mul128,
     mul_mod,
@@ -352,18 +354,30 @@ def _galois_permutation(n: int, galois_elt: int
     return i[keep], dest[keep], i[sign_flip], dest[sign_flip]
 
 
-@lru_cache(maxsize=1024)
-def _bconv_table(src_values: tuple[int, ...], dst_values: tuple[int, ...]):
-    """Precomputed constants for BConv from ``src`` to ``dst`` (Eq. 9).
+class _BConvTable(NamedTuple):
+    """Precomputed constants for BConv from ``src`` to ``dst`` (Eq. 9)."""
 
-    Returns ``(qhat_inv, qhat_inv_shoup, cross, lazy_ok)`` where
-    ``qhat_inv[j]`` is ``[ (Q/q_j)^-1 ]_{q_j}`` (as an ``(src, 1)``
-    column together with its Shoup constants), ``cross[i][j]`` is
-    ``[Q/q_j]_{dst_i}`` laid out ``(dst, src, 1)`` for broadcasting
-    against ``(src, N)`` terms, and ``lazy_ok`` says whether the summed
-    128-bit products provably stay below ``2**128`` (always true for
-    practical parameter sets; the reference loop covers the rest).
-    """
+    qhat_inv: np.ndarray        #: ``[(Q/q_j)^-1]_{q_j}``, ``(src, 1)``
+    qhat_inv_shoup: np.ndarray  #: its Shoup constants
+    #: ``cross[i][j] = [Q/q_j]_{dst_i}``, contiguous ``(dst, src, 1)``
+    #: for broadcasting against ``(src, N)`` terms
+    cross: np.ndarray
+    #: the same words as ``dot_mod`` weights: a ``(src, dst, 1)`` view,
+    #: one ``(dst, 1)`` column per source limb
+    cross_terms: np.ndarray
+    bound: int                  #: above every term and every cross word
+    #: the summed 128-bit products provably stay below ``2**128``
+    #: (always true for practical parameter sets; the reference loop
+    #: covers the rest)
+    lazy_ok: bool
+    #: every 32x64 partial-product plane sum stays below ``2**62``
+    planes_ok: bool
+
+
+@lru_cache(maxsize=1024)
+def _bconv_table(src_values: tuple[int, ...],
+                 dst_values: tuple[int, ...]) -> _BConvTable:
+    """The :class:`_BConvTable` of one (source, destination) base pair."""
     product = math.prod(src_values)
     qhat = [product // q for q in src_values]
     qhat_inv = tuple(inv_mod(qh, q) for qh, q in zip(qhat, src_values))
@@ -379,8 +393,10 @@ def _bconv_table(src_values: tuple[int, ...], dst_values: tuple[int, ...]):
     max_bits = max(max(q.bit_length() for q in src_values),
                    max(p.bit_length() for p in dst_values))
     planes_ok = max_bits + src_log <= 62
-    return (qhat_inv_cols, qhat_inv_shoup, cross, max_total < (1 << 128),
-            planes_ok)
+    return _BConvTable(qhat_inv_cols, qhat_inv_shoup, cross,
+                       cross.transpose(1, 0, 2),
+                       max(*src_values, *dst_values),
+                       max_total < (1 << 128), planes_ok)
 
 
 def base_convert(poly: RnsPolynomial,
@@ -395,51 +411,42 @@ def base_convert(poly: RnsPolynomial,
     This is the software MMAU: part 1 multiplies every source limb by its
     ``qhat_j^-1`` in one batched Shoup pass; part 2 runs the broadcasted
     ``(dst, src, N)`` multiply-accumulate with *lazy* reduction — the
-    exact 128-bit products are summed into three split accumulators (one
-    cache-blocked ``(dst, N)`` sweep per source limb, mirroring the
-    MMAU's column feed) and Barrett-reduced once per destination limb at
-    the end, instead of reducing every term.
+    exact 128-bit products are summed and Barrett-reduced once per
+    output instead of once per term.  Under the native backend part 2 is
+    one :func:`~repro.ckks.modmath.dot_mod` call; under NumPy the sums
+    go into three split accumulators (one cache-blocked ``(dst, N)``
+    sweep per source limb, mirroring the MMAU's column feed).
     """
     if poly.is_ntt:
         raise ValueError("BConv operates in the coefficient domain")
     if _obs_kernel._ENABLED:
         _obs_kernel.TALLY.bconv_calls += 1
         _obs_kernel.TALLY.bconv_planes += len(dst_base) * len(poly.base)
-    src_values = tuple(p.value for p in poly.base)
-    dst_values = tuple(p.value for p in dst_base)
-    qhat_inv, qhat_inv_shoup, cross, lazy_ok, planes_ok = _bconv_table(
-        src_values, dst_values)
-    if not lazy_ok:  # pragma: no cover - unreachable for < 2^62 moduli
-        return _base_convert_reference(poly, dst_base)
-
-    n = poly.n
+    table = _bconv_table(tuple(p.value for p in poly.base),
+                         tuple(p.value for p in dst_base))
     # Part 1 (per-source ModMult in the BConvU): t_j = [a_j * qhat_j^-1]_{q_j}
-    terms = mul_mod_shoup(poly.residues, qhat_inv, qhat_inv_shoup,
-                          poly.moduli,
+    terms = mul_mod_shoup(poly.residues, table.qhat_inv,
+                          table.qhat_inv_shoup, poly.moduli,
                           out=workspace_buffer("bconv.terms",
                                                poly.residues.shape))
 
-    # Part 2 (the MMAU): out_i = sum_j t_j * [qhat_j]_{p_i} mod p_i.  One
-    # (dst, N) broadcast per source limb (the accumulators stay
-    # cache-resident), summed exactly and Barrett-reduced once.
-    shape = (len(dst_base), n)
+    # Part 2 (the MMAU): out_i = sum_j t_j * [qhat_j]_{p_i} mod p_i.
     dst_moduli = base_modulus_vector(dst_base)
-    h = _active_native()
-    if h is not None:
-        # Fused MMAU: the 128-bit accumulation over source limbs and the
-        # final Barrett reduction run in one C pass per (dst, coeff)
-        # cell.  Valid exactly when lazy_ok (checked above); output is
-        # canonical, bit-identical to the accumulate + reduce below.
-        out = np.empty(shape, dtype=np.uint64)
-        cr = np.ascontiguousarray(cross[:, :, 0])
-        h.lib.nm_bconv(shape[0], terms.shape[0], n, h.ptr(out),
-                       h.ptr(terms), h.ptr(cr), h.ptr(dst_moduli.u64),
-                       h.ptr(dst_moduli.mu_hi), h.ptr(dst_moduli.mu_lo))
+    if _active_native() is not None:
+        # One dot_mod: source limb j is term j, its (N,) row repeats on
+        # every destination row, and its weight is a cross column.
+        out = dot_mod(terms, table.cross_terms, dst_moduli,
+                      bound=table.bound)
         return RnsPolynomial(dst_base, out, is_ntt=False)
-    if planes_ok and _LITTLE_ENDIAN:
-        acc_hi, acc_lo = _mmau_accumulate_planes(terms, cross, shape)
+    if not table.lazy_ok:  # pragma: no cover - unreachable, < 2^62 moduli
+        return _base_convert_reference(poly, dst_base)
+    # One (dst, N) broadcast per source limb (the accumulators stay
+    # cache-resident), summed exactly and Barrett-reduced once.
+    shape = (len(dst_base), poly.n)
+    if table.planes_ok and _LITTLE_ENDIAN:
+        acc_hi, acc_lo = _mmau_accumulate_planes(terms, table.cross, shape)
     else:
-        acc_hi, acc_lo = _mmau_accumulate_split(terms, cross, shape)
+        acc_hi, acc_lo = _mmau_accumulate_split(terms, table.cross, shape)
     out = barrett_reduce128(acc_hi, acc_lo, dst_moduli,
                             out=np.empty(shape, dtype=np.uint64))
     return RnsPolynomial(dst_base, out, is_ntt=False)
@@ -523,10 +530,8 @@ def _base_convert_reference(poly: RnsPolynomial,
     """
     if poly.is_ntt:
         raise ValueError("BConv operates in the coefficient domain")
-    src_values = tuple(p.value for p in poly.base)
-    dst_values = tuple(p.value for p in dst_base)
-    qhat_inv, qhat_inv_shoup, cross, _lazy_ok, _planes_ok = _bconv_table(
-        src_values, dst_values)
+    qhat_inv, qhat_inv_shoup, cross, *_ = _bconv_table(
+        tuple(p.value for p in poly.base), tuple(p.value for p in dst_base))
 
     n = poly.n
     terms = np.empty_like(poly.residues)

@@ -1,7 +1,7 @@
 """Differential tier: the native modmath backend vs the NumPy oracle.
 
 Every modmath primitive with a native entry (``mul_mod``,
-``mul_mod_shoup``, ``mul_mod_add``) returns canonical residues, so the
+``mul_mod_shoup``, ``dot_mod``) returns canonical residues, so the
 compiled backend must agree with the pure-NumPy path bit for bit — on
 contiguous planes, strided views, broadcasts, scalar and vector moduli,
 and through every layer that inherits the dispatch (NTT, BConv,
@@ -9,7 +9,8 @@ key-switching, full HMult).  The NumPy-only primitives (``mulhi64``,
 ``mul128``, ``barrett_reduce128``, ``mul_mod_shoup_lazy``) are checked
 against big-int math in ``test_modmath.py``.
 The one-call native batched NTT is held to the per-limb ``NttContext``
-oracle and to the NumPy Stockham plan the same way.
+oracle and to the NumPy Stockham plan the same way, and the one-call
+native ``dot_mod`` to its term-by-term NumPy route and to big ints.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from hypothesis import strategies as st
 from repro.ckks.modmath import (
     Modulus,
     ModulusVector,
+    _dot_fold,
     active_backend,
     available_backends,
+    dot_mod,
     mul_mod,
-    mul_mod_add,
     mul_mod_shoup,
     mul_mod_shoup_lazy,
     set_backend,
@@ -109,15 +111,6 @@ class TestPrimitiveBitIdentity:
         assert np.all(lazy < 2 * mv.u64)
         np.testing.assert_array_equal(lazy % mv.u64, got)
 
-    def test_mul_mod_add_with_aliasing(self, mv, planes):
-        a, b = planes
-
-        def run():
-            acc = a.copy()
-            return mul_mod_add(acc, a, b, mv, out=acc)
-
-        _assert_identical(*_under_both(run))
-
     def test_strided_views(self, rng):
         m = Modulus((1 << 59) + 55)
         base = rng.integers(0, m.value, size=(64, 64), dtype=np.uint64)
@@ -164,11 +157,16 @@ class TestPrimitiveBitIdentity:
         # one-element and 0-d operands: both backends return an array
         for x, y, w in ((arr_a, arr_b, ws), (arr_a[0], arr_b[0], ws[0])):
             for fn in (lambda: mul_mod(x, y, m),
-                       lambda: mul_mod_shoup(x, y, w, m),
-                       lambda: mul_mod_add(x, x, y, m)):
+                       lambda: mul_mod_shoup(x, y, w, m)):
                 ref, got = _under_both(fn)
                 _assert_identical(ref, got)
                 assert got.shape == np.shape(x)
+        # one (1, 1) element per term, the second term negated
+        col_a, col_b = arr_a.reshape(1, 1), arr_b.reshape(1, 1)
+        ref, got = _under_both(lambda: dot_mod(
+            [col_a, col_b], [col_b, col_b], m, negate=[False, True]))
+        _assert_identical(ref, got)
+        assert int(got[0, 0]) == (a * b - b * b) % q
 
     def test_native_selftest(self):
         from repro.ckks import _native
@@ -393,3 +391,188 @@ class TestNativeBatchedNtt:
             for f, i in results[k]:
                 assert np.array_equal(f, serial[k])
                 assert np.array_equal(i, inputs[k])
+
+
+#: 59-62-bit row moduli (any odd value below 2^62 is a valid Barrett
+#: modulus); the largest sets the fold bound: 16 terms per 128-bit sum.
+_DOT_MODULI = [(1 << 59) + 55, (1 << 61) + 15, (1 << 62) - 57,
+               (1 << 61) + 249]
+_DOT_FOLD = _dot_fold(max(_DOT_MODULI))
+
+
+def _dot_bigint(xs, ws, negate, moduli):
+    """Exact ``sum +-x*w mod q`` with Python ints (object arrays)."""
+    total = 0
+    for x, w, neg in zip(xs, ws, negate):
+        term = np.asarray(x).astype(object) * np.asarray(w).astype(object)
+        total = total - term if neg else total + term
+    return total % np.array(moduli, dtype=object).reshape(-1, 1)
+
+
+@needs_native
+class TestNativeDotMod:
+    """One native call per dot product, bit-identical to the oracles."""
+
+    @pytest.fixture()
+    def mv(self):
+        return ModulusVector([Modulus(q) for q in _DOT_MODULI])
+
+    def _residues(self, rng, shape):
+        q = np.array(_DOT_MODULI, dtype=np.uint64).reshape(-1, 1)
+        return rng.integers(0, 1 << 63, size=shape).astype(np.uint64) % q
+
+    def test_fold_bound_is_sixteen(self):
+        assert _DOT_FOLD == 16
+
+    @pytest.mark.parametrize("terms", [1, _DOT_FOLD, _DOT_FOLD + 1, 40])
+    @pytest.mark.parametrize("signs", ["positive", "negative", "mixed"])
+    def test_extreme_sums_match_big_ints(self, mv, terms, signs):
+        """Every operand q - 1: unfolded sums past the bound overflow."""
+        top = (mv.u64 - np.uint64(1)) * np.ones((1, 33), dtype=np.uint64)
+        negate = {"positive": [False] * terms, "negative": [True] * terms,
+                  "mixed": [t % 3 == 1 for t in range(terms)]}[signs]
+        xs = [top] * terms
+        ws = [(top, top)] * terms   # both halves
+        ref, got = _under_both(lambda: dot_mod(xs, ws, mv, negate=negate))
+        _assert_identical(ref, got)
+        want = _dot_bigint(xs, [top] * terms, negate, _DOT_MODULI)
+        assert got.shape == (2, len(_DOT_MODULI), 33)
+        for half in got:
+            assert np.array_equal(half.astype(object), want)
+
+    @pytest.mark.parametrize("terms", [1, _DOT_FOLD, _DOT_FOLD + 1, 40])
+    def test_random_planes_match_big_ints(self, mv, rng, terms):
+        xs = [self._residues(rng, (2, 4, 200)) for _ in range(terms)]
+        ws = [self._residues(rng, (4, 200)) for _ in range(terms)]
+        negate = list(rng.integers(0, 2, size=terms).astype(bool))
+        ref, got = _under_both(lambda: dot_mod(xs, ws, mv, negate=negate))
+        _assert_identical(ref, got)
+        for h in range(2):
+            want = _dot_bigint([x[h] for x in xs], ws, negate, _DOT_MODULI)
+            assert np.array_equal(got[h].astype(object), want)
+
+    def test_column_weights_and_missing_weights(self, mv, rng):
+        """A ``(rows, 1)`` weight repeats along the coefficient axis."""
+        xs = [self._residues(rng, (4, 100)) for _ in range(5)]
+        ws = [self._residues(rng, (4, 1)), self._residues(rng, (4, 100)),
+              np.ones((4, 1), dtype=np.uint64),
+              self._residues(rng, (4, 1)), self._residues(rng, (4, 100))]
+        negate = [True, False, True, False, False]
+        ref, got = _under_both(lambda: dot_mod(xs, ws, mv, negate=negate))
+        _assert_identical(ref, got)
+        assert np.array_equal(got.astype(object),
+                              _dot_bigint(xs, ws, negate, _DOT_MODULI))
+
+    def test_bconv_layout(self, rng):
+        """Stacked groups: ``(T, n)`` rows repeat per output row (row
+        stride 0) against a ``(T, dst, 1)`` view of a contiguous
+        ``(dst, T)`` cross matrix; under ``bound`` the terms need not be
+        reduced by the output moduli."""
+        src = [(1 << 61) + 15, (1 << 62) - 57, (1 << 60) + 33]
+        dst = [(1 << 59) + 55, (1 << 40) + 195, (1 << 61) + 249,
+               (1 << 52) + 21]
+        dst_mv = ModulusVector([Modulus(q) for q in dst])
+        terms = np.stack([rng.integers(0, q, size=128, dtype=np.uint64)
+                          for q in src])
+        cross = np.array([[rng.integers(0, p) for _ in src] for p in dst],
+                         dtype=np.uint64)[:, :, None]
+        cross_terms = cross.transpose(1, 0, 2)
+        assert cross_terms.base is not None   # a view, not a copy
+        bound = max(*src, *dst)
+        ref, got = _under_both(lambda: dot_mod(terms, cross_terms, dst_mv,
+                                               bound=bound))
+        _assert_identical(ref, got)
+        want = _dot_bigint(list(terms), list(cross_terms), [False] * 3, dst)
+        assert np.array_equal(got.astype(object), want)
+
+    def test_key_switch_row_map(self, rng):
+        """``w_rows`` reads a full-base evk slice in place: the leading
+        ``level+1`` rows, then the trailing special-prime rows."""
+        full = [(1 << 59) + 55 + 2 * i for i in range(6)] \
+            + [(1 << 61) + 15, (1 << 61) + 249]
+        rows = [0, 1, 2, 6, 7]               # level 2 of a 6-prime chain
+        mv = ModulusVector([Modulus(full[r]) for r in rows])
+        q_full = np.array(full, dtype=np.uint64).reshape(-1, 1)
+        slices = [rng.integers(0, 1 << 62, size=(2, len(full), 64)
+                               ).astype(np.uint64) % q_full
+                  for _ in range(3)]
+        digits = [rng.integers(0, 1 << 62, size=(len(rows), 64)
+                               ).astype(np.uint64) % mv.u64
+                  for _ in range(3)]
+        w_rows = np.array(rows)
+        ref, got = _under_both(lambda: dot_mod(digits, slices, mv,
+                                               w_rows=w_rows))
+        _assert_identical(ref, got)
+        for h in range(2):
+            want = _dot_bigint(digits, [s[h][rows] for s in slices],
+                               [False] * 3, [full[r] for r in rows])
+            assert np.array_equal(got[h].astype(object), want)
+
+    def test_strided_views(self, mv, rng):
+        big = self._residues(rng, (2, 4, 256))
+        plane = self._residues(rng, (4, 64))
+        wide = np.concatenate([plane, plane], axis=1)   # (4, 128)
+        xs = [big[..., ::4],                     # strided halves
+              (big[1, :, 64:128], big[0, :, :64]),  # per-half tuple
+              big[::-1, :, 128:192],             # negative half stride
+              np.ascontiguousarray(big[0, :, :64].T).T]  # transposed
+        ws = [wide[:, ::2], plane[:, ::-1], plane, wide[:, 64:]]
+        negate = [False, True, True, False]
+        ref, got = _under_both(lambda: dot_mod(xs, ws, mv, negate=negate))
+        _assert_identical(ref, got)
+        for h in range(2):
+            want = _dot_bigint([x if np.ndim(x) == 2 else x[h] for x in xs],
+                               ws, negate, _DOT_MODULI)
+            assert np.array_equal(got[h].astype(object), want)
+
+    def test_rejects_mismatched_operands(self, mv, rng):
+        x = self._residues(rng, (4, 64))
+        for backend in ("numpy", "native"):
+            with forced(backend):
+                with pytest.raises(ValueError):
+                    dot_mod([x], [x[:, :32]], mv)        # columns differ
+                with pytest.raises(ValueError):
+                    dot_mod([x, x], [x], mv)             # term counts
+                with pytest.raises(ValueError):
+                    dot_mod([x], [x], mv, negate=[True, False])
+                with pytest.raises(ValueError):
+                    dot_mod([x[0]], [x[0]], Modulus(_DOT_MODULI[0]))
+                with pytest.raises(TypeError):
+                    dot_mod([x.astype(np.int64)], [x], mv)
+                with pytest.raises(ValueError):           # halves' layouts
+                    dot_mod([(x, x[:, ::-1])], [x], mv)
+
+    def test_concurrent_threads_match_serial(self, mv, rng):
+        """The GIL is released inside the kernel: no shared scratch."""
+        inputs = [([self._residues(rng, (2, 4, 512)) for _ in range(k + 2)],
+                   [self._residues(rng, (4, 512)) for _ in range(k + 2)])
+                  for k in range(4)]
+        results: dict[int, list] = {k: [] for k in range(4)}
+        start = threading.Barrier(4, timeout=30)
+
+        def work(k):
+            start.wait()
+            xs, ws = inputs[k]
+            for _ in range(25):
+                results[k].append(dot_mod(xs, ws, mv,
+                                          negate=[True] * len(xs)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with forced("native"):
+                serial = [dot_mod(xs, ws, mv, negate=[True] * len(xs))
+                          for xs, ws in inputs]
+                threads = [threading.Thread(target=work, args=(k,))
+                           for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(4):
+            assert len(results[k]) == 25
+            for got in results[k]:
+                assert np.array_equal(got, serial[k])
